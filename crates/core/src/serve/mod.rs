@@ -268,84 +268,44 @@ impl Shared {
         // under the shared `xslt/compile` stage — the memo above only
         // shortcuts re-requests of the identical (analysis, sources)
         // triple, the artifact survives memo resets and is shared across
-        // analyses.
-        if tpx_xslt::is_stylesheet(&t_src) {
+        // analyses. A DTL program (`Err` below) only answers
+        // text-preservation.
+        let (mut alpha, schema, t) = if tpx_xslt::is_stylesheet(&t_src) {
             let artifact =
                 crate::frontend::compile_stylesheet_cached(&self.engine, &schema_src, &t_src)
                     .map_err(|e| self.bad_request(format!("transducer: {e}")))?;
-            let mut alpha = artifact.alpha.clone();
-            let kind = match &req.analysis {
-                AnalysisRequest::TextPreservation => {
-                    PreparedKind::Topdown(artifact.transducer.clone())
+            let t = Ok(artifact.transducer.clone());
+            (artifact.alpha.clone(), artifact.schema.clone(), t)
+        } else {
+            let mut alpha = Alphabet::new();
+            let schema = parse_schema(&schema_src, &mut alpha)
+                .map_err(|e| self.bad_request(format!("schema: {e}")))?
+                .to_nta();
+            let needs_topdown = |analysis: &str| {
+                self.bad_request(format!(
+                    "analysis {analysis} needs a top-down transducer, got a dtl program"
+                ))
+            };
+            let t = match (&req.analysis, is_dtl_transducer(&t_src)) {
+                (_, false) => Ok(parse_transducer(&t_src, &alpha)
+                    .map_err(|e| self.bad_request(format!("transducer: {e}")))?),
+                (AnalysisRequest::TextPreservation, true) => {
+                    Err(parse_dtl_transducer(&t_src, &alpha)
+                        .map_err(|e| self.bad_request(format!("transducer: {e}")))?)
                 }
-                AnalysisRequest::TextRetention { labels } => {
-                    let labels = labels
-                        .iter()
-                        .map(|l| {
-                            alpha.get(l).ok_or_else(|| {
-                                self.bad_request(format!(
-                                    "label {l:?} is not in the schema alphabet"
-                                ))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    PreparedKind::Retention {
-                        t: artifact.transducer.clone(),
-                        labels,
-                    }
+                (AnalysisRequest::TextRetention { .. }, true) => {
+                    return Err(needs_topdown("text-retention"))
                 }
-                AnalysisRequest::Conformance { .. } => {
-                    let target =
-                        parse_schema(target_src.as_ref().expect("resolved above"), &mut alpha)
-                            .map_err(|e| self.bad_request(format!("target: {e}")))?
-                            .to_nta();
-                    PreparedKind::Conformance {
-                        t: artifact.transducer.clone(),
-                        target,
-                    }
+                (AnalysisRequest::Conformance { .. }, true) => {
+                    return Err(needs_topdown("conformance"))
                 }
             };
-            let prepared = Arc::new(Prepared {
-                alpha,
-                schema: artifact.schema.clone(),
-                kind,
-            });
-            let mut memo = lock(&self.memo);
-            if memo.len() >= self.cfg.memo_cap && !memo.contains_key(&key) {
-                memo.clear();
-            }
-            memo.insert(key, Arc::clone(&prepared));
-            return Ok(prepared);
-        }
-        let mut alpha = Alphabet::new();
-        let dtd = parse_schema(&schema_src, &mut alpha)
-            .map_err(|e| self.bad_request(format!("schema: {e}")))?;
-        let schema = dtd.to_nta();
-        let parse_topdown = |analysis: &str, alpha: &Alphabet| -> Result<Transducer, ErrorInfo> {
-            if is_dtl_transducer(&t_src) {
-                return Err(self.bad_request(format!(
-                    "analysis {analysis} needs a top-down transducer, got a dtl program"
-                )));
-            }
-            parse_transducer(&t_src, alpha)
-                .map_err(|e| self.bad_request(format!("transducer: {e}")))
+            (alpha, schema, t)
         };
-        let kind = match &req.analysis {
-            AnalysisRequest::TextPreservation => {
-                if is_dtl_transducer(&t_src) {
-                    PreparedKind::Dtl(
-                        parse_dtl_transducer(&t_src, &alpha)
-                            .map_err(|e| self.bad_request(format!("transducer: {e}")))?,
-                    )
-                } else {
-                    PreparedKind::Topdown(
-                        parse_transducer(&t_src, &alpha)
-                            .map_err(|e| self.bad_request(format!("transducer: {e}")))?,
-                    )
-                }
-            }
-            AnalysisRequest::TextRetention { labels } => {
-                let t = parse_topdown("text-retention", &alpha)?;
+        let kind = match (&req.analysis, t) {
+            (_, Err(dtl)) => PreparedKind::Dtl(dtl),
+            (AnalysisRequest::TextPreservation, Ok(t)) => PreparedKind::Topdown(t),
+            (AnalysisRequest::TextRetention { labels }, Ok(t)) => {
                 let labels = labels
                     .iter()
                     .map(|l| {
@@ -356,8 +316,7 @@ impl Shared {
                     .collect::<Result<Vec<_>, _>>()?;
                 PreparedKind::Retention { t, labels }
             }
-            AnalysisRequest::Conformance { .. } => {
-                let t = parse_topdown("conformance", &alpha)?;
+            (AnalysisRequest::Conformance { .. }, Ok(t)) => {
                 // The target is parsed into the *same* alphabet so its
                 // symbols line up with the transducer's output labels.
                 let target = parse_schema(target_src.as_ref().expect("resolved above"), &mut alpha)

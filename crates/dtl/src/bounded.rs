@@ -5,146 +5,148 @@
 //! the exponential comparator for the crossover experiments (E4/E5) and a
 //! cross-validation harness for the symbolic deciders.
 
+use std::collections::HashMap;
+use std::rc::Rc;
+
 use crate::config;
 use crate::pattern::PatternLanguage;
 use crate::transducer::{DtlError, DtlTransducer};
+use tpx_automata::StateId;
 use tpx_treeauto::{Nta, State};
 use tpx_trees::{Hedge, HedgeBuilder, Symbol, Tree};
 
 /// Enumerates trees of `L(nta)` with at most `max_nodes` nodes (text leaves
-/// carry a placeholder value). Stops after `limit` trees.
+/// carry a placeholder value), by non-decreasing node count. Stops after
+/// `limit` trees, so a truncated enumeration drops only its largest trees:
+/// every tree smaller than the last one returned is included.
 pub fn enumerate_schema_trees(nta: &Nta, max_nodes: usize, limit: usize) -> Vec<Tree> {
+    let mut e = Enumerator {
+        nta,
+        limit,
+        trees: HashMap::new(),
+        children: HashMap::new(),
+    };
     let mut out = Vec::new();
-    // trees_for(q, budget): all hedges consisting of a single tree rooted in
-    // state q with ≤ budget nodes. Memoized per (state, budget).
-    let mut memo: std::collections::HashMap<(State, usize), Vec<Hedge>> =
-        std::collections::HashMap::new();
-    for &root in nta.roots() {
-        for h in trees_for(nta, root, max_nodes, &mut memo, limit) {
-            if out.len() >= limit {
-                return out;
-            }
-            if let Some(t) = Tree::from_hedge(h.clone()) {
-                out.push(t);
+    for n in 1..=max_nodes {
+        for &root in nta.roots() {
+            for h in e.trees(root, n).iter() {
+                if out.len() >= limit {
+                    return out;
+                }
+                if let Some(t) = Tree::from_hedge(h.clone()) {
+                    out.push(t);
+                }
             }
         }
     }
     out
 }
 
-fn trees_for(
-    nta: &Nta,
-    q: State,
-    budget: usize,
-    memo: &mut std::collections::HashMap<(State, usize), Vec<Hedge>>,
+/// Hedges memoized under one key, shared without copying.
+type Memo<K> = HashMap<K, Rc<Vec<Hedge>>>;
+
+/// Memoized enumeration by exact node count. Each list keeps at most
+/// `limit` entries: a list that overflows has more than `limit` trees of
+/// its size, so every schema tree built from them is at least as large as
+/// a size class that already fills the output.
+struct Enumerator<'a> {
+    nta: &'a Nta,
     limit: usize,
-) -> Vec<Hedge> {
-    if budget == 0 {
-        return Vec::new();
-    }
-    if let Some(hit) = memo.get(&(q, budget)) {
-        return hit.clone();
-    }
-    // Avoid infinite recursion through unproductive cycles: seed the memo
-    // with the empty result.
-    memo.insert((q, budget), Vec::new());
-    let mut result = Vec::new();
-    if nta.text_ok(q) {
-        let mut b = HedgeBuilder::new();
-        b.text("τ");
-        result.push(b.finish());
-    }
-    for sym in 0..nta.symbol_count() {
-        let s = Symbol(sym as u32);
-        let Some(nfa) = nta.content(q, s) else {
-            continue;
-        };
-        // Enumerate accepted child-state words with total size ≤ budget - 1,
-        // then all combinations of child trees.
-        let words = accepted_words(nfa, budget - 1);
-        for word in words {
-            let combos = child_combos(nta, &word, budget - 1, memo, limit);
-            for combo in combos {
-                if result.len() >= limit {
+    /// `(q, n)`: hedges of one tree of exactly `n` nodes evaluating to `q`.
+    trees: Memo<(State, usize)>,
+    /// `(q, σ, P, n)`: child hedges of exactly `n` nodes that drive the
+    /// content NFA of `(q, σ)` from the state set `P` to a final state.
+    /// Tracking state sets (a subset construction on the fly) reads each
+    /// child-state word once, however many runs accept it.
+    children: Memo<(State, Symbol, Vec<StateId>, usize)>,
+}
+
+impl Enumerator<'_> {
+    fn trees(&mut self, q: State, n: usize) -> Rc<Vec<Hedge>> {
+        if let Some(hit) = self.trees.get(&(q, n)) {
+            return hit.clone();
+        }
+        let mut out = Vec::new();
+        if n == 1 && self.nta.text_ok(q) {
+            let mut b = HedgeBuilder::new();
+            b.text("τ");
+            out.push(b.finish());
+        }
+        for sym in 0..self.nta.symbol_count() {
+            let s = Symbol(sym as u32);
+            let Some(nfa) = self.nta.content(q, s) else {
+                continue;
+            };
+            let mut initial = nfa.initial_states().to_vec();
+            initial.sort_unstable();
+            initial.dedup();
+            for kids in self.children(q, s, initial, n - 1).iter() {
+                if out.len() >= self.limit {
                     break;
                 }
                 let mut b = HedgeBuilder::new();
                 b.open(s);
-                for child in &combo {
-                    b.hedge(child);
-                }
+                b.hedge(kids);
                 b.close();
-                result.push(b.finish());
+                out.push(b.finish());
             }
         }
+        let out = Rc::new(out);
+        self.trees.insert((q, n), out.clone());
+        out
     }
-    result.truncate(limit);
-    memo.insert((q, budget), result.clone());
-    result
-}
 
-/// Words accepted by the content NFA with length ≤ max_len.
-fn accepted_words(nfa: &tpx_automata::Nfa<State>, max_len: usize) -> Vec<Vec<State>> {
-    let mut out = Vec::new();
-    let mut frontier: Vec<(tpx_automata::StateId, Vec<State>)> = nfa
-        .initial_states()
-        .iter()
-        .map(|&p| (p, Vec::new()))
-        .collect();
-    for _ in 0..=max_len {
-        let mut next = Vec::new();
-        for (p, w) in frontier {
-            if nfa.is_final(p) {
-                out.push(w.clone());
+    fn children(&mut self, q: State, s: Symbol, from: Vec<StateId>, n: usize) -> Rc<Vec<Hedge>> {
+        let key = (q, s, from, n);
+        if let Some(hit) = self.children.get(&key) {
+            return hit.clone();
+        }
+        let nta = self.nta;
+        let nfa = nta.content(q, s).expect("content model exists");
+        let mut out = Vec::new();
+        if n == 0 {
+            if key.2.iter().any(|&p| nfa.is_final(p)) {
+                out.push(HedgeBuilder::new().finish());
             }
-            if w.len() < max_len {
-                for (a, r) in nfa.transitions_from(p) {
-                    let mut w2 = w.clone();
-                    w2.push(*a);
-                    next.push((*r, w2));
+        } else {
+            // The next child's state, and the NFA states reading it leads to.
+            let mut steps: Vec<(State, Vec<StateId>)> = Vec::new();
+            for &p in &key.2 {
+                for &(child, p2) in nfa.transitions_from(p) {
+                    match steps.iter_mut().find(|(c, _)| *c == child) {
+                        Some((_, to)) => to.push(p2),
+                        None => steps.push((child, vec![p2])),
+                    }
+                }
+            }
+            steps.sort_unstable();
+            'fill: for (child, mut to) in steps {
+                to.sort_unstable();
+                to.dedup();
+                for m in 1..=n {
+                    let firsts = self.trees(child, m);
+                    if firsts.is_empty() {
+                        continue;
+                    }
+                    let rests = self.children(q, s, to.clone(), n - m);
+                    for first in firsts.iter() {
+                        for rest in rests.iter() {
+                            if out.len() >= self.limit {
+                                break 'fill;
+                            }
+                            let mut b = HedgeBuilder::new();
+                            b.hedge(first);
+                            b.hedge(rest);
+                            out.push(b.finish());
+                        }
+                    }
                 }
             }
         }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
+        let out = Rc::new(out);
+        self.children.insert(key, out.clone());
+        out
     }
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// All combinations of child hedges for a state word within the budget.
-fn child_combos(
-    nta: &Nta,
-    word: &[State],
-    budget: usize,
-    memo: &mut std::collections::HashMap<(State, usize), Vec<Hedge>>,
-    limit: usize,
-) -> Vec<Vec<Hedge>> {
-    if word.is_empty() {
-        return vec![Vec::new()];
-    }
-    let (first, rest) = word.split_first().map(|(f, r)| (*f, r)).unwrap();
-    let mut out = Vec::new();
-    // Reserve at least one node for each remaining sibling.
-    let reserve = rest.len();
-    if budget <= reserve {
-        return out;
-    }
-    for first_tree in trees_for(nta, first, budget - reserve, memo, limit) {
-        let used = first_tree.node_count();
-        for mut tail in child_combos(nta, rest, budget - used, memo, limit) {
-            if out.len() >= limit {
-                return out;
-            }
-            let mut combo = vec![first_tree.clone()];
-            combo.append(&mut tail);
-            out.push(combo);
-        }
-    }
-    out
 }
 
 /// The bounded decider: searches schema trees up to `max_nodes` nodes for a

@@ -16,6 +16,14 @@
 //!
 //! * copying: `• = 0, •1 = 1, •2 = 2, ◦ = 3`;
 //! * rearranging: `• = 0, •1 = 1, •2 = 2, ◦1 = 3, ◦2 = 4`.
+//!
+//! Each stage ([`compile_schema_nbta`], [`compile_counterexample`],
+//! [`dtl_text_preserving_with`]) is one function taking a [`StageCtx`]: it
+//! charges fuel against the context's budget and opens its sub-spans on
+//! the context's tracer. The `tpx-engine` crate runs the stages under a
+//! check's budget and caches their artifacts; the one-shot entry points
+//! ([`dtl_text_preserving`], [`dtl_maximal_subschema`],
+//! [`dtl_deleted_text_under`]) run under an unlimited budget.
 
 use crate::pattern::{MsoDefinable, MsoPatterns};
 use crate::reach::ReachSystem;
@@ -27,7 +35,7 @@ use tpx_mso::{
     lift, try_compile_cached, try_project_bit, try_strip_bits, CompileCache, CompileError, Formula,
     MSym, Var, VarGen, VarKey,
 };
-use tpx_obs::{SpanFields, Tracer};
+use tpx_topdown::StageCtx;
 use tpx_treeauto::{nbta_to_nta, nta_to_nbta, EncSym, Nbta, Nta};
 use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 use tpx_trees::Tree;
@@ -434,56 +442,6 @@ fn union_sentences(
     }
 }
 
-/// The regular language of counter-example trees over `Trees_Σ(Text)`: the
-/// compiled `A^copy ∪ A^rearrange` of Section 5.3.
-pub fn counterexample_nbta<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    n_symbols: usize,
-) -> Nbta<EncSym> {
-    try_counterexample_nbta(t, n_symbols, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`counterexample_nbta`]: every MSO compile, product, trim and
-/// projection along the way runs under the fuel/deadline budget.
-pub fn try_counterexample_nbta<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    n_symbols: usize,
-    budget: &BudgetHandle,
-) -> Result<Nbta<EncSym>, DtlDecideError> {
-    try_counterexample_nbta_traced(t, n_symbols, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_counterexample_nbta`]: emits one sub-span per compiled half
-/// (`dtl/counterexample/copying`, `dtl/counterexample/rearranging`)
-/// carrying the fuel charged and the automaton size. With a disabled
-/// tracer this is exactly the untraced call.
-pub fn try_counterexample_nbta_traced<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    n_symbols: usize,
-    budget: &BudgetHandle,
-    tracer: &Tracer,
-) -> Result<Nbta<EncSym>, DtlDecideError> {
-    let mut b = AutoBuilder::new(t, n_symbols);
-    let span = tracer.span("dtl/counterexample/copying");
-    let fuel_before = budget.fuel_spent();
-    let copy = b.copy_auto(budget)?;
-    span.exit_with(
-        SpanFields::new()
-            .fuel(budget.fuel_spent() - fuel_before)
-            .size(copy.state_count()),
-    );
-    let span = tracer.span("dtl/counterexample/rearranging");
-    let fuel_before = budget.fuel_spent();
-    let rearrange = b.rearrange_auto(budget)?;
-    span.exit_with(
-        SpanFields::new()
-            .fuel(budget.fuel_spent() - fuel_before)
-            .size(rearrange.state_count()),
-    );
-    Ok(copy.union(&rearrange).try_trim(budget)?)
-}
-
 /// Schema-side artifact of the staged DTL pipeline: the trimmed NBTA over
 /// the binary encoding accepting exactly the schema trees. Depends only on
 /// the schema, so the engine layer caches it across transducers.
@@ -521,78 +479,45 @@ impl DtlTransducerArtifacts {
 }
 
 /// Stage 1 (schema side): encode and trim the schema NTA.
-pub fn compile_schema_nbta(nta: &Nta) -> DtlSchemaArtifacts {
-    try_compile_schema_nbta(nta, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_schema_nbta`].
-pub fn try_compile_schema_nbta(
+pub fn compile_schema_nbta(
     nta: &Nta,
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<DtlSchemaArtifacts, BudgetExceeded> {
     Ok(DtlSchemaArtifacts {
-        schema: nta_to_nbta(nta).try_trim(budget)?,
+        schema: nta_to_nbta(nta).try_trim(ctx.budget)?,
     })
 }
 
-/// Stage 1 (transducer side): compile the counter-example automaton.
+/// Stage 1 (transducer side): the counter-example automaton
+/// `A^copy ∪ A^rearrange` of Section 5.3 over `Trees_Σ(Text)` — the
+/// expensive MSO→NBTA stage, and the usual place a tight fuel budget trips
+/// on hard instances. Each half runs in its own sub-span
+/// (`dtl/counterexample/copying`, `dtl/counterexample/rearranging`)
+/// carrying the fuel it charged and its state count.
 pub fn compile_counterexample<P: MsoDefinable>(
     t: &DtlTransducer<P>,
     n_symbols: usize,
-) -> DtlTransducerArtifacts {
-    try_compile_counterexample(t, n_symbols, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`compile_counterexample`] — the expensive MSO→NBTA stage, and
-/// the usual place a tight fuel budget trips on hard instances.
-pub fn try_compile_counterexample<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    n_symbols: usize,
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<DtlTransducerArtifacts, DtlDecideError> {
-    try_compile_counterexample_traced(t, n_symbols, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_compile_counterexample`]: see
-/// [`try_counterexample_nbta_traced`] for the sub-spans emitted.
-pub fn try_compile_counterexample_traced<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    n_symbols: usize,
-    budget: &BudgetHandle,
-    tracer: &Tracer,
-) -> Result<DtlTransducerArtifacts, DtlDecideError> {
+    let mut b = AutoBuilder::new(t, n_symbols);
+    let states = |a: &Nbta<EncSym>| Some(a.state_count());
+    let copy = ctx.span("dtl/counterexample/copying", states, || {
+        b.copy_auto(ctx.budget)
+    })?;
+    let rearrange = ctx.span("dtl/counterexample/rearranging", states, || {
+        b.rearrange_auto(ctx.budget)
+    })?;
     Ok(DtlTransducerArtifacts {
-        counterexample: try_counterexample_nbta_traced(t, n_symbols, budget, tracer)?,
+        counterexample: copy.union(&rearrange).try_trim(ctx.budget)?,
         n_symbols,
     })
 }
 
-/// Stage 2: intersect precompiled artifacts and extract a witness. This is
-/// the cheap final step of Theorems 5.12 / 5.18.
-pub fn dtl_text_preserving_with(
-    transducer: &DtlTransducerArtifacts,
-    schema: &DtlSchemaArtifacts,
-) -> DtlCheckReport {
-    try_dtl_text_preserving_with(transducer, schema, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`dtl_text_preserving_with`]; a witness that fails to decode to
-/// an unranked tree is reported as [`DtlDecideError::Internal`] instead of
-/// panicking.
-pub fn try_dtl_text_preserving_with(
-    transducer: &DtlTransducerArtifacts,
-    schema: &DtlSchemaArtifacts,
-    budget: &BudgetHandle,
-) -> Result<DtlCheckReport, DtlDecideError> {
-    try_dtl_text_preserving_traced(transducer, schema, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_dtl_text_preserving_with`]: emits `dtl/decide/product`
-/// around the lazy product exploration and `dtl/decide/witness` around
-/// the witness decoding, each carrying the fuel charged. With a disabled
-/// tracer this is exactly the untraced call.
+/// Stage 2: the cheap final step of Theorems 5.12 / 5.18 over precompiled
+/// artifacts. `dtl/decide/product` spans the product exploration and
+/// `dtl/decide/witness` the witness decoding, each carrying the fuel
+/// charged; a witness that fails to decode to an unranked tree is reported
+/// as [`DtlDecideError::Internal`] instead of panicking.
 ///
 /// The product is never materialized: [`Nbta::try_intersect_witness`]
 /// explores only derivable counterexample×schema state pairs and exits at
@@ -600,44 +525,50 @@ pub fn try_dtl_text_preserving_with(
 /// soon as *one* counterexample tree is derivable, and a preserving one
 /// costs only the reachable product — not the full `|Q₁|·|Q₂|` grid plus
 /// a trim that the eager route paid.
-pub fn try_dtl_text_preserving_traced(
+pub fn dtl_text_preserving_with(
     transducer: &DtlTransducerArtifacts,
     schema: &DtlSchemaArtifacts,
-    budget: &BudgetHandle,
-    tracer: &Tracer,
+    ctx: StageCtx<'_>,
 ) -> Result<DtlCheckReport, DtlDecideError> {
-    let span = tracer.span("dtl/decide/product");
-    let fuel_before = budget.fuel_spent();
-    let witness = transducer
-        .counterexample
-        .try_intersect_witness(&schema.schema, budget)?;
-    span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
-    let span = tracer.span("dtl/decide/witness");
-    let fuel_before = budget.fuel_spent();
-    let result = match witness {
-        None => Ok(DtlCheckReport::Preserving),
-        Some(w) => {
-            let witness = tpx_treeauto::convert::decode_witness(&w).ok_or_else(|| {
-                DtlDecideError::Internal(
-                    "counterexample witness does not decode to an unranked tree".into(),
-                )
-            })?;
-            Ok(DtlCheckReport::NotPreserving { witness })
-        }
-    };
-    span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
-    result
+    let witness = ctx.span(
+        "dtl/decide/product",
+        |_| None,
+        || {
+            transducer
+                .counterexample
+                .try_intersect_witness(&schema.schema, ctx.budget)
+        },
+    )?;
+    ctx.span(
+        "dtl/decide/witness",
+        |_| None,
+        || match witness {
+            None => Ok(DtlCheckReport::Preserving),
+            Some(w) => {
+                let witness = tpx_treeauto::convert::decode_witness(&w).ok_or_else(|| {
+                    DtlDecideError::Internal(
+                        "counterexample witness does not decode to an unranked tree".into(),
+                    )
+                })?;
+                Ok(DtlCheckReport::NotPreserving { witness })
+            }
+        },
+    )
 }
 
 /// Theorems 5.12 / 5.18: decides whether `t` is text-preserving over
 /// `L(nta)`, with a witness tree when it is not.
 ///
-/// One-shot wrapper over the staged pipeline: [`compile_counterexample`] +
-/// [`compile_schema_nbta`] + [`dtl_text_preserving_with`].
+/// One-shot convenience over the staged pipeline ([`compile_counterexample`],
+/// [`compile_schema_nbta`], then [`dtl_text_preserving_with`]) under an
+/// unlimited budget.
 pub fn dtl_text_preserving<P: MsoDefinable>(t: &DtlTransducer<P>, nta: &Nta) -> DtlCheckReport {
-    let ce = compile_counterexample(t, nta.symbol_count());
-    let schema = compile_schema_nbta(nta);
-    dtl_text_preserving_with(&ce, &schema)
+    StageCtx::unlimited(|ctx| {
+        let ce = compile_counterexample(t, nta.symbol_count(), ctx)?;
+        let schema = compile_schema_nbta(nta, ctx)?;
+        dtl_text_preserving_with(&ce, &schema, ctx)
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The conclusion's stronger test for DTL: does `t` delete some text value
@@ -648,24 +579,15 @@ pub fn dtl_text_preserving<P: MsoDefinable>(t: &DtlTransducer<P>, nta: &Nta) -> 
 /// i.e. `∃p (q₀, root) ;* (p, w)` with `(p, text) → text`; deletion below
 /// `σ` is the complement of that, intersected with "w is a text node below
 /// a σ-node".
+///
+/// Every compile/project step charges an unlimited budget, and the final
+/// schema product is explored lazily with an early exit at the first
+/// witness.
 pub fn dtl_deleted_text_under<P: MsoDefinable>(
     t: &DtlTransducer<P>,
     nta: &Nta,
     labels: &[tpx_trees::Symbol],
 ) -> Option<Tree> {
-    try_dtl_deleted_text_under(t, nta, labels, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`dtl_deleted_text_under`]: every compile/project stage
-/// charges the shared budget, and the final schema product is explored
-/// lazily with an early exit at the first witness.
-pub fn try_dtl_deleted_text_under<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    nta: &Nta,
-    labels: &[tpx_trees::Symbol],
-    budget: &BudgetHandle,
-) -> Result<Option<Tree>, DtlDecideError> {
     let n_symbols = nta.symbol_count();
     let mut b = AutoBuilder::new(t, n_symbols);
     // "Some run outputs the value at vx" at width 1 (vx = the text node).
@@ -689,39 +611,38 @@ pub fn try_dtl_deleted_text_under<P: MsoDefinable>(
         ))
     };
     let phi = under.and(reached.not());
-    let deleted = try_compile_cached(&phi, &[VarKey::Fo(vx)], n_symbols, &mut b.cache, budget)?;
-    let sentence = try_project_bit(&deleted, n_symbols, 0, true, budget)?;
-    let schema = nta_to_nbta(nta).try_trim(budget)?;
-    let witness =
-        try_strip_bits(&sentence, n_symbols, budget)?.try_intersect_witness(&schema, budget)?;
-    witness
-        .map(|w| {
-            tpx_treeauto::convert::decode_witness(&w).ok_or_else(|| {
-                DtlDecideError::Internal("schema product witness does not decode".into())
+    StageCtx::unlimited(|ctx| -> Result<Option<Tree>, DtlDecideError> {
+        let budget = ctx.budget;
+        let deleted = try_compile_cached(&phi, &[VarKey::Fo(vx)], n_symbols, &mut b.cache, budget)?;
+        let sentence = try_project_bit(&deleted, n_symbols, 0, true, budget)?;
+        let schema = nta_to_nbta(nta).try_trim(budget)?;
+        let witness =
+            try_strip_bits(&sentence, n_symbols, budget)?.try_intersect_witness(&schema, budget)?;
+        witness
+            .map(|w| {
+                tpx_treeauto::convert::decode_witness(&w).ok_or_else(|| {
+                    DtlDecideError::Internal("schema product witness does not decode".into())
+                })
             })
-        })
-        .transpose()
+            .transpose()
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Definition 5.1's determinism restriction, decided statically over a
 /// schema: two rules of the same state must never both match a node of a
 /// schema tree. Returns the first offending rule pair with a witness tree,
 /// or `None` when the transducer is deterministic over `L(nta)`.
+///
+/// Guard compilations charge the context's budget and each overlap test is
+/// a lazy early-exit product exploration instead of a materialized
+/// intersection.
 pub fn check_determinism<P: MsoDefinable>(
     t: &DtlTransducer<P>,
     nta: &Nta,
-) -> Option<(usize, usize, Tree)> {
-    try_check_determinism(t, nta, &BudgetHandle::unlimited()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`check_determinism`]: guard compilations charge the shared
-/// budget and each overlap test is a lazy early-exit product exploration
-/// instead of a materialized intersection.
-pub fn try_check_determinism<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    nta: &Nta,
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<Option<(usize, usize, Tree)>, DtlDecideError> {
+    let budget = ctx.budget;
     let n_symbols = nta.symbol_count();
     let mut gen = VarGen::new();
     gen.reserve(Var(MsoPatterns::HOLE_Y.0 + 1));
@@ -763,46 +684,29 @@ pub fn try_check_determinism<P: MsoDefinable>(
     Ok(None)
 }
 
-/// [`dtl_maximal_subschema`] over precompiled artifacts.
-pub fn dtl_maximal_subschema_with(
-    transducer: &DtlTransducerArtifacts,
-    schema: &DtlSchemaArtifacts,
-) -> Nta {
-    try_dtl_maximal_subschema_with(transducer, schema, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`dtl_maximal_subschema_with`]. This is the one consumer that
-/// genuinely needs the complemented counterexample language *as an
-/// automaton* (the sub-schema is returned to the caller), so the eager
-/// determinize–complement route stays — but every stage now charges the
-/// shared budget instead of bypassing PR 3's governance.
-pub fn try_dtl_maximal_subschema_with(
-    transducer: &DtlTransducerArtifacts,
-    schema: &DtlSchemaArtifacts,
-    budget: &BudgetHandle,
-) -> Result<Nta, DtlDecideError> {
-    let not_ce = transducer
-        .counterexample
-        .try_determinize(budget)?
-        .complement()
-        .to_nbta()
-        .try_trim(budget)?;
-    Ok(nbta_to_nta(
-        &schema
-            .schema
-            .try_intersect(&not_ce, budget)?
-            .try_trim(budget)?,
-        transducer.n_symbols,
-    ))
-}
-
 /// The maximal sub-schema on which `t` is text-preserving (conclusion):
 /// `L(nta) ∖ counterexamples(t)`, as an NTA.
+///
+/// This is the one consumer that needs the complemented counterexample
+/// language *as an automaton* (the sub-schema is returned to the caller),
+/// so it determinizes and complements eagerly.
 pub fn dtl_maximal_subschema<P: MsoDefinable>(t: &DtlTransducer<P>, nta: &Nta) -> Nta {
-    let ce = compile_counterexample(t, nta.symbol_count());
-    let schema = compile_schema_nbta(nta);
-    dtl_maximal_subschema_with(&ce, &schema)
+    StageCtx::unlimited(|ctx| -> Result<Nta, DtlDecideError> {
+        let ce = compile_counterexample(t, nta.symbol_count(), ctx)?;
+        let schema = compile_schema_nbta(nta, ctx)?;
+        let not_ce = ce
+            .counterexample
+            .try_determinize(ctx.budget)?
+            .complement()
+            .to_nbta()
+            .try_trim(ctx.budget)?;
+        let kept = schema
+            .schema
+            .try_intersect(&not_ce, ctx.budget)?
+            .try_trim(ctx.budget)?;
+        Ok(nbta_to_nta(&kept, ce.n_symbols))
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -816,6 +720,14 @@ mod tests {
 
     fn alpha() -> Alphabet {
         Alphabet::from_labels(["a", "b"])
+    }
+
+    /// [`check_determinism`] under an unlimited budget.
+    fn determinism(
+        t: &DtlTransducer<crate::pattern::XPathPatterns>,
+        nta: &Nta,
+    ) -> Option<(usize, usize, Tree)> {
+        StageCtx::unlimited(|ctx| check_determinism(t, nta, ctx)).unwrap()
     }
 
     /// Universal schema over {a, b} with text anywhere.
@@ -983,7 +895,7 @@ mod tests {
         b.rule_simple("q0", "b", "b", "q0", "child");
         b.text_rule("q0");
         let t = b.finish();
-        assert!(check_determinism(&t, &universal(&al)).is_none());
+        assert!(determinism(&t, &universal(&al)).is_none());
     }
 
     #[test]
@@ -994,7 +906,7 @@ mod tests {
         // Overlaps with the rule above on any a-node with a b-child.
         b.rule_simple("q0", "a & <child[b]>", "b", "q0", "child");
         let t = b.finish();
-        let (i, j, w) = check_determinism(&t, &universal(&al)).expect("overlap");
+        let (i, j, w) = determinism(&t, &universal(&al)).expect("overlap");
         assert_ne!(i, j);
         // Definition 5.1 quantifies over every node of a schema tree, so
         // the witness must have SOME node where both guards match — the
@@ -1022,7 +934,7 @@ mod tests {
         nb.rule("s", "a", "(s | st)*");
         nb.text_rule("st");
         let only_a = nb.finish();
-        assert!(check_determinism(&t, &only_a).is_none());
+        assert!(determinism(&t, &only_a).is_none());
     }
 
     #[test]

@@ -48,10 +48,8 @@ pub mod transducer;
 pub mod xpath_mso;
 
 pub use decide::{
-    compile_counterexample, compile_schema_nbta, dtl_maximal_subschema, dtl_maximal_subschema_with,
-    dtl_text_preserving, dtl_text_preserving_with, try_compile_counterexample,
-    try_compile_counterexample_traced, try_compile_schema_nbta, try_dtl_text_preserving_traced,
-    try_dtl_text_preserving_with, DtlCheckReport, DtlDecideError, DtlSchemaArtifacts,
+    compile_counterexample, compile_schema_nbta, dtl_maximal_subschema, dtl_text_preserving,
+    dtl_text_preserving_with, DtlCheckReport, DtlDecideError, DtlSchemaArtifacts,
     DtlTransducerArtifacts,
 };
 pub use pattern::{MsoPatterns, PatternLanguage, XPathPatterns};

@@ -9,6 +9,7 @@
 
 use std::time::Duration;
 
+use tpx_dtl::{DtlDecideError, DtlError};
 pub use tpx_trees::budget::{Budget, BudgetExceeded, BudgetHandle, ExhaustReason};
 
 /// Parameters of the bounded-enumeration fallback used when the symbolic
@@ -130,6 +131,34 @@ impl std::fmt::Display for DecisionError {
 }
 
 impl std::error::Error for DecisionError {}
+
+/// A stage's own failure type, turned into a [`DecisionError`] that names
+/// the stage it happened in.
+pub trait StageError: std::fmt::Display {
+    /// The failure, attributed to `stage`.
+    fn at(self, stage: &'static str) -> DecisionError;
+}
+
+impl StageError for BudgetExceeded {
+    fn at(self, stage: &'static str) -> DecisionError {
+        DecisionError::exhausted(stage, self)
+    }
+}
+
+impl StageError for DtlDecideError {
+    fn at(self, stage: &'static str) -> DecisionError {
+        match self {
+            DtlDecideError::Budget(b) => DecisionError::exhausted(stage, b),
+            DtlDecideError::Internal(msg) => DecisionError::Internal(msg),
+        }
+    }
+}
+
+impl StageError for DtlError {
+    fn at(self, _stage: &'static str) -> DecisionError {
+        DecisionError::Internal(self.to_string())
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
-//! The output-conformance decider: a governed, staged, traced wrapper
-//! around `tpx_topdown::conformance` — *does `T(L(S))` stay inside a
-//! target schema `D`?*
+//! The output-conformance decider: the stages of `tpx_topdown::conformance`
+//! run through the engine — *does `T(L(S))` stay inside a target schema
+//! `D`?*
 //!
 //! Pipeline stages:
 //!
@@ -15,17 +15,14 @@
 //! alphabet width is part of the key because symbols outside the
 //! transducer's alphabet still shape types (they transform to `ε`).
 
-use std::time::Instant;
+use std::sync::Arc;
 
 use crate::analysis::{Analysis, OUTPUT_CONFORMANCE};
-use crate::budget::{CheckOptions, DecisionError};
-use crate::cache::ArtifactCache;
-use crate::decider::{governed_stage, uncached_stage, Decider, StageCtx, StageKey};
-use crate::verdict::{CheckStats, Outcome, StageReport, Verdict};
-use tpx_obs::{SpanFields, Tracer};
+use crate::budget::DecisionError;
+use crate::decider::{unknown_stage, Decider, StageKey, Stages};
+use crate::verdict::Outcome;
 use tpx_topdown::{
-    try_compile_conformance_artifacts, try_conformance_witness_with, ConformanceArtifacts,
-    Transducer,
+    compile_conformance_artifacts, conformance_witness_with, ConformanceArtifacts, Transducer,
 };
 use tpx_treeauto::Nta;
 use tpx_trees::{stable_hash_of, StableHasher};
@@ -65,13 +62,28 @@ impl<'a> OutputConformanceDecider<'a> {
             .max(schema.symbol_count())
     }
 
-    /// The `conformance/inverse` cache key: (transducer, target, |Σ|).
-    fn inverse_key(&self, n_symbols: usize) -> u64 {
+    /// The `conformance/inverse` stage key: (transducer, target, |Σ|).
+    fn inverse_key(&self, n_symbols: usize) -> StageKey {
         let mut h = StableHasher::new();
         h.write_u64(self.t_key);
         h.write_u64(self.target_key);
         h.write_usize(n_symbols);
-        h.finish()
+        StageKey::of(OUTPUT_CONFORMANCE, "conformance/inverse", h.finish())
+    }
+
+    /// The `conformance/inverse` stage: the NTA of input trees whose image
+    /// violates the target.
+    fn inverse_stage(
+        &self,
+        schema: &Nta,
+        stages: &mut Stages<'_>,
+    ) -> Result<Arc<ConformanceArtifacts>, DecisionError> {
+        let n_symbols = self.n_symbols(schema);
+        stages.cached(
+            self.inverse_key(n_symbols),
+            ConformanceArtifacts::size,
+            |ctx| compile_conformance_artifacts(self.t, self.target, n_symbols, ctx),
+        )
     }
 }
 
@@ -85,109 +97,33 @@ impl Decider for OutputConformanceDecider<'_> {
     }
 
     fn artifact_stages(&self, schema: &Nta) -> Vec<StageKey> {
-        vec![StageKey::of(
-            OUTPUT_CONFORMANCE,
-            "conformance/inverse",
-            self.inverse_key(self.n_symbols(schema)),
-        )]
+        vec![self.inverse_key(self.n_symbols(schema))]
     }
 
     fn prefetch_stage(
         &self,
         stage: StageKey,
         schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<StageReport, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        let mut ctx = StageCtx {
-            stats: &mut stats,
-            budget: &budget,
-            tracer,
-        };
+        stages: &mut Stages<'_>,
+    ) -> Result<(), DecisionError> {
         match stage.kind {
-            "conformance/inverse" => {
-                let n_symbols = self.n_symbols(schema);
-                governed_stage(
-                    cache,
-                    stage,
-                    ConformanceArtifacts::size,
-                    || {
-                        try_compile_conformance_artifacts(self.t, self.target, n_symbols, &budget)
-                            .map_err(|b| DecisionError::exhausted("conformance/inverse", b))
-                    },
-                    &mut ctx,
-                )?;
-            }
-            _ => {
-                return Err(DecisionError::Internal(format!(
-                    "conformance decider has no stage {:?}",
-                    stage.kind
-                )))
-            }
+            "conformance/inverse" => self.inverse_stage(schema, stages).map(drop),
+            _ => Err(unknown_stage(self.name(), stage)),
         }
-        stats
-            .stages
-            .pop()
-            .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
     }
 
-    fn check_traced(
-        &self,
-        schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<Verdict, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        let n_symbols = self.n_symbols(schema);
-        let inverse = governed_stage(
-            cache,
-            StageKey::of(
-                OUTPUT_CONFORMANCE,
-                "conformance/inverse",
-                self.inverse_key(n_symbols),
-            ),
-            ConformanceArtifacts::size,
-            || {
-                try_compile_conformance_artifacts(self.t, self.target, n_symbols, &budget)
-                    .map_err(|b| DecisionError::exhausted("conformance/inverse", b))
-            },
-            &mut StageCtx {
-                stats: &mut stats,
-                budget: &budget,
-                tracer,
-            },
-        )?;
-        let start = Instant::now();
-        let fuel_before = budget.fuel_spent();
-        let span = tracer.span("conformance/decide");
-        let witness = try_conformance_witness_with(&inverse, schema, &budget)
-            .map_err(|b| DecisionError::exhausted("conformance/decide", b))?;
-        span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
-        uncached_stage(
-            "conformance/decide",
-            start,
-            fuel_before,
-            &mut stats,
-            &budget,
-        );
+    fn check(&self, schema: &Nta, stages: &mut Stages<'_>) -> Result<Outcome, DecisionError> {
+        let inverse = self.inverse_stage(schema, stages)?;
+        let witness = stages.uncached("conformance/decide", |ctx| {
+            conformance_witness_with(&inverse, schema, ctx)
+        })?;
         let outcome = match witness {
             None => Outcome::Preserving,
             Some(witness) => Outcome::NonConforming { witness },
         };
         #[cfg(debug_assertions)]
         validate_conformance_outcome(self.t, schema, self.target, &outcome);
-        Ok(Verdict {
-            decider: self.name(),
-            analysis: self.analysis(),
-            outcome,
-            stats,
-            degraded: None,
-        })
+        Ok(outcome)
     }
 }
 

@@ -1,9 +1,11 @@
-//! The [`Decider`] trait and its two implementations: the PTIME top-down
-//! decider (Theorem 4.11) and the DTL decider (Theorems 5.12/5.18).
+//! The [`Decider`] trait, the [`Stages`] recorder every pipeline stage
+//! runs through, and the two text-preservation deciders: the PTIME
+//! top-down decider (Theorem 4.11) and the DTL decider (Theorems
+//! 5.12/5.18).
 //!
-//! A decider wraps one transducer and runs its staged pipeline against a
-//! schema, routing every expensive intermediate through the
-//! [`ArtifactCache`] and recording a [`StageReport`] per stage. Cache keys:
+//! A decider wraps one transducer and names the stages of its pipeline
+//! against a schema; every expensive intermediate is memoized in the
+//! [`ArtifactCache`]. Cache keys:
 //!
 //! | kind                  | keyed by                         | artifact |
 //! |-----------------------|----------------------------------|----------|
@@ -15,29 +17,34 @@
 //! The final decide stage (automata products + emptiness) is cheap and
 //! schema×transducer-specific, so it is never cached.
 //!
-//! Every decider runs *governed and traced*: [`Decider::check_traced`]
-//! threads a [`BudgetHandle`] and a [`Tracer`] through the whole staged
-//! pipeline (fuel is charged at state/transition construction sites down in
-//! `tpx-treeauto` / `tpx-mso`; each stage emits one span named exactly like
-//! its [`StageReport`]) and returns a structured [`DecisionError`] instead
-//! of panicking or diverging. [`Decider::check_governed`] is the
-//! disabled-tracer wrapper and [`Decider::check`] the unlimited-budget one.
+//! Every stage is one function taking a [`StageCtx`] (the check's
+//! [`BudgetHandle`] and [`Tracer`]), and every stage runs through one
+//! helper, [`Stages::cached`] or [`Stages::uncached`]: it opens the
+//! stage's span, runs the stage, and closes the span and writes the
+//! stage's [`StageReport`] from the same measurement (fuel charged,
+//! artifact size, cache hit). Each cached stage's builder is written once
+//! and serves both [`Decider::check`] and [`Decider::prefetch_stage`]. The
+//! [`crate::Engine`] starts the budget, owns the reports, runs the
+//! degradation fallback and assembles the [`Verdict`](crate::Verdict); a
+//! failure comes back as a structured [`DecisionError`] instead of a
+//! panic.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::analysis::{Analysis, TEXT_PRESERVATION};
-use crate::budget::{BudgetHandle, CheckOptions, DecisionError};
+use crate::budget::{BudgetHandle, DecisionError, DegradeBound, StageError};
 use crate::cache::{ArtifactCache, CacheError};
-use crate::verdict::{CheckStats, Outcome, StageReport, Verdict};
+use crate::verdict::{CheckStats, Outcome, StageReport};
 use tpx_dtl::pattern::MsoDefinable;
 use tpx_dtl::{
-    try_compile_counterexample_traced, try_compile_schema_nbta, try_dtl_text_preserving_traced,
-    DtlCheckReport, DtlDecideError, DtlSchemaArtifacts, DtlTransducer, DtlTransducerArtifacts,
+    compile_counterexample, compile_schema_nbta, dtl_text_preserving_with, DtlCheckReport,
+    DtlSchemaArtifacts, DtlTransducer, DtlTransducerArtifacts,
 };
 use tpx_obs::{SpanFields, Tracer};
 use tpx_topdown::{
-    try_compile_schema_artifacts, try_compile_transducer_artifacts_traced,
-    try_is_text_preserving_traced, SchemaArtifacts, Transducer, TransducerArtifacts,
+    compile_schema_artifacts, compile_transducer_artifacts, is_text_preserving_with,
+    SchemaArtifacts, StageCtx, Transducer, TransducerArtifacts,
 };
 use tpx_treeauto::Nta;
 use tpx_trees::{stable_hash_debug, stable_hash_of, StableHasher};
@@ -97,7 +104,7 @@ impl StageKey {
     }
 }
 
-/// A text-preservation decision procedure for one fixed transducer.
+/// A decision procedure for one analysis of one fixed transducer.
 ///
 /// `Sync` so a batch of checks can share one decider across the worker
 /// threads of [`crate::Engine::check_many`].
@@ -108,8 +115,10 @@ pub trait Decider: Sync {
     /// Which preservation analysis this decider runs. Defaults to the
     /// paper's headline text-preservation question; the retention and
     /// conformance deciders override it. Carried into every [`Verdict`]
-    /// the decider produces, and folded into the cache keys of
-    /// analysis-specific stages (see [`StageKey::of`]).
+    /// the engine assembles for the decider, and folded into the cache
+    /// keys of analysis-specific stages (see [`StageKey::of`]).
+    ///
+    /// [`Verdict`]: crate::Verdict
     fn analysis(&self) -> Analysis {
         TEXT_PRESERVATION
     }
@@ -117,164 +126,171 @@ pub trait Decider: Sync {
     /// The cacheable artifact stages this check will consult, in pipeline
     /// order. The batch scheduler deduplicates these across a batch and
     /// prefetches each distinct stage as its own schedulable task, so the
-    /// subsequent [`Decider::check_traced`] call finds every declared
-    /// artifact already built. The default (no declared stages) keeps the
-    /// whole pipeline inside the check task — correct, just unscheduled.
+    /// subsequent [`Decider::check`] finds every declared artifact already
+    /// built. The default (no declared stages) keeps the whole pipeline
+    /// inside the check task — correct, just unscheduled.
     fn artifact_stages(&self, schema: &Nta) -> Vec<StageKey> {
         let _ = schema;
         Vec::new()
     }
 
     /// Builds the single artifact behind `stage` (one of
-    /// [`Decider::artifact_stages`]) into `cache`, under a fresh
-    /// per-stage budget from `options`. Returns the stage's
-    /// [`StageReport`]. Prefetch failures are non-fatal to the batch: the
-    /// finalizing [`Decider::check_traced`] retries the build under its
-    /// own budget, so a budget-starved or panicked prefetch only loses
-    /// the overlap, never the verdict.
+    /// [`Decider::artifact_stages`]) through `stages`, with the same
+    /// builder [`Decider::check`] uses. The engine runs it under a fresh
+    /// per-stage budget; a failed prefetch is non-fatal to the batch, since
+    /// the check retries the build under its own budget.
     fn prefetch_stage(
         &self,
         stage: StageKey,
         schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<StageReport, DecisionError> {
-        let _ = (schema, cache, options, tracer);
-        Err(DecisionError::Internal(format!(
-            "decider {:?} declares no prefetchable stage {:?}",
-            self.name(),
-            stage.kind
-        )))
+        stages: &mut Stages<'_>,
+    ) -> Result<(), DecisionError> {
+        let _ = (schema, stages);
+        Err(unknown_stage(self.name(), stage))
     }
 
-    /// Decides text-preservation over `L(schema)` under the fuel/deadline
-    /// budget of `options`, memoizing expensive intermediates in `cache`
-    /// and emitting one span per pipeline stage on `tracer` (span names
-    /// match the [`crate::StageReport::stage`] names; a disabled tracer
-    /// costs nothing). Budget exhaustion, panics inside cached builders,
-    /// and construction invariant failures all surface as a
-    /// [`DecisionError`].
-    fn check_traced(
+    /// Decides the analysis over `L(schema)`, running every stage through
+    /// `stages` (which memoizes artifacts, charges the check's budget and
+    /// records one span and one [`StageReport`] per stage). Budget
+    /// exhaustion, panics inside cached builders, and construction
+    /// invariant failures all surface as a [`DecisionError`].
+    fn check(&self, schema: &Nta, stages: &mut Stages<'_>) -> Result<Outcome, DecisionError>;
+
+    /// The fallback the engine runs when [`Decider::check`] exhausts its
+    /// budget and the check options ask for degradation: an outcome from a
+    /// search bounded by `bound`, sound for a violation but incomplete.
+    /// `None` (the default) keeps the exhaustion error.
+    fn degrade(
         &self,
         schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<Verdict, DecisionError>;
-
-    /// [`Decider::check_traced`] with tracing disabled.
-    fn check_governed(
-        &self,
-        schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-    ) -> Result<Verdict, DecisionError> {
-        self.check_traced(schema, cache, options, Tracer::disabled_ref())
-    }
-
-    /// Decides text-preservation over `L(schema)` with no resource limits,
-    /// memoizing expensive intermediates in `cache`.
-    ///
-    /// # Panics
-    ///
-    /// On any [`DecisionError`] — which an unlimited budget reduces to the
-    /// internal-invariant and panic cases.
-    fn check(&self, schema: &Nta, cache: &ArtifactCache) -> Verdict {
-        self.check_governed(schema, cache, &CheckOptions::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
+        bound: DegradeBound,
+        stages: &mut Stages<'_>,
+    ) -> Option<Result<Outcome, DecisionError>> {
+        let _ = (schema, bound, stages);
+        None
     }
 }
 
-/// The per-check recording context threaded through the staged helpers:
-/// where stage reports accumulate, the fuel/deadline handle, and the span
-/// sink.
-pub(crate) struct StageCtx<'a> {
-    pub(crate) stats: &'a mut CheckStats,
-    pub(crate) budget: &'a BudgetHandle,
-    pub(crate) tracer: &'a Tracer,
+/// The error for a prefetch of a stage the decider does not declare.
+pub(crate) fn unknown_stage(decider: &str, stage: StageKey) -> DecisionError {
+    DecisionError::Internal(format!("decider {decider:?} has no stage {:?}", stage.kind))
 }
 
-/// Runs a cached stage under a budget: looks the stage's cache key up,
-/// building on miss, and records duration / artifact size / hit-or-miss /
-/// fuel. Fuel is attributed by sampling the shared handle's counter around
-/// the stage, so a cache hit reports `0` (whoever built the artifact paid
-/// for it). Analysis-specific stages cache under
-/// [`StageKey::cache_key`], which mixes the analysis discriminant in.
-///
-/// Emits one span named like the stage on the context's tracer, covering
-/// lookup and (on miss) the build; its exit event carries the fuel delta,
-/// the artifact size, and the hit/miss flag. A stage that fails closes its
-/// span without fields.
-pub(crate) fn governed_stage<T, F>(
-    cache: &ArtifactCache,
-    stage: StageKey,
-    size: impl Fn(&T) -> usize,
-    build: F,
-    ctx: &mut StageCtx<'_>,
-) -> Result<std::sync::Arc<T>, DecisionError>
-where
-    T: Send + Sync + 'static,
-    F: FnOnce() -> Result<T, DecisionError>,
-{
-    let StageCtx {
-        ref mut stats,
-        budget,
-        tracer,
-    } = *ctx;
-    let kind = stage.kind;
-    let start = Instant::now();
-    let fuel_before = budget.fuel_spent();
-    let span = tracer.span(kind);
-    let (artifact, hit) = match cache.try_get_or_build(kind, stage.cache_key(), build) {
-        Ok(r) => r,
-        Err(CacheError::Build(e)) => return Err(e),
-        Err(CacheError::BuilderPanicked { kind, message }) => {
-            return Err(DecisionError::Panicked {
-                stage: kind,
-                message,
-            })
-        }
-        Err(e @ CacheError::TypeMismatch { .. }) => {
-            return Err(DecisionError::Internal(e.to_string()))
-        }
-    };
-    let artifact_size = size(&artifact);
-    span.exit_with(
-        SpanFields::new()
-            .fuel(budget.fuel_spent() - fuel_before)
-            .size(artifact_size)
-            .hit(hit),
-    );
-    stats.stages.push(StageReport {
-        stage: kind,
-        duration: start.elapsed(),
-        artifact_size: Some(artifact_size),
-        cache_hit: Some(hit),
-        fuel: budget
-            .is_limited()
-            .then(|| budget.fuel_spent() - fuel_before),
-    });
-    Ok(artifact)
+/// The stage recorder of one check (or one prefetch): the artifact cache,
+/// the [`StageCtx`] every stage runs under, and the [`StageReport`]s
+/// written so far, in execution order.
+pub struct Stages<'a> {
+    cache: &'a ArtifactCache,
+    ctx: StageCtx<'a>,
+    stats: CheckStats,
 }
 
-/// Records an uncached stage report with fuel attribution.
-pub(crate) fn uncached_stage(
-    kind: &'static str,
-    start: Instant,
-    fuel_before: u64,
-    stats: &mut CheckStats,
-    budget: &BudgetHandle,
-) {
-    stats.stages.push(StageReport {
-        stage: kind,
-        duration: start.elapsed(),
-        artifact_size: None,
-        cache_hit: None,
-        fuel: budget
-            .is_limited()
-            .then(|| budget.fuel_spent() - fuel_before),
-    });
+impl<'a> Stages<'a> {
+    pub(crate) fn new(
+        cache: &'a ArtifactCache,
+        budget: &'a BudgetHandle,
+        tracer: &'a Tracer,
+    ) -> Self {
+        Stages {
+            cache,
+            ctx: StageCtx::new(budget, tracer),
+            stats: CheckStats::default(),
+        }
+    }
+
+    /// The reports of every stage that completed.
+    pub(crate) fn into_stats(self) -> CheckStats {
+        self.stats
+    }
+
+    /// Runs a cached stage: looks `stage` up in the cache (under
+    /// [`StageKey::cache_key`], which mixes an owning analysis in) and runs
+    /// `build` on a miss. A hit charges no fuel: whoever built the
+    /// artifact paid for it. Builder errors are attributed to the stage;
+    /// a panicking builder comes back as [`DecisionError::Panicked`].
+    pub fn cached<T, E>(
+        &mut self,
+        stage: StageKey,
+        size: impl FnOnce(&T) -> usize,
+        build: impl FnOnce(StageCtx<'_>) -> Result<T, E>,
+    ) -> Result<Arc<T>, DecisionError>
+    where
+        T: Send + Sync + 'static,
+        E: StageError + Send + 'static,
+    {
+        let cache = self.cache;
+        self.record(stage.kind, |ctx| {
+            let (artifact, hit) = cache
+                .try_get_or_build(stage.kind, stage.cache_key(), || build(ctx))
+                .map_err(|e| match e {
+                    CacheError::Build(e) => e.at(stage.kind),
+                    CacheError::BuilderPanicked { kind, message } => DecisionError::Panicked {
+                        stage: kind,
+                        message,
+                    },
+                    e @ CacheError::TypeMismatch { .. } => DecisionError::Internal(e.to_string()),
+                })?;
+            let artifact_size = size(&artifact);
+            Ok((artifact, Some(artifact_size), Some(hit)))
+        })
+    }
+
+    /// Runs an uncached stage, attributing its errors to `kind`.
+    pub fn uncached<T, E: StageError>(
+        &mut self,
+        kind: &'static str,
+        run: impl FnOnce(StageCtx<'_>) -> Result<T, E>,
+    ) -> Result<T, DecisionError> {
+        self.record(kind, |ctx| {
+            run(ctx).map(|v| (v, None, None)).map_err(|e| e.at(kind))
+        })
+    }
+
+    /// The one place a stage's span and its [`StageReport`] are written:
+    /// both come from one measurement of the fuel charged, the artifact
+    /// size and the cache hit. A failing stage closes its span without
+    /// fields and writes no report.
+    fn record<T>(
+        &mut self,
+        kind: &'static str,
+        run: impl FnOnce(StageCtx<'a>) -> Result<(T, Option<usize>, Option<bool>), DecisionError>,
+    ) -> Result<T, DecisionError> {
+        let budget = self.ctx.budget;
+        let start = Instant::now();
+        let fuel_before = budget.fuel_spent();
+        let span = self.ctx.tracer.span(kind);
+        let (value, artifact_size, cache_hit) = run(self.ctx)?;
+        let fuel = budget.fuel_spent() - fuel_before;
+        span.exit_with(SpanFields {
+            fuel: Some(fuel),
+            artifact_size,
+            cache_hit,
+        });
+        self.stats.stages.push(StageReport {
+            stage: kind,
+            duration: start.elapsed(),
+            artifact_size,
+            cache_hit,
+            fuel: budget.is_limited().then_some(fuel),
+        });
+        Ok(value)
+    }
+}
+
+/// The `topdown/schema` stage key: the schema-side artifact shared by the
+/// text-preservation and text-retention deciders.
+pub(crate) fn topdown_schema_key(schema: &Nta) -> StageKey {
+    StageKey::shared("topdown/schema", stable_hash_of(schema))
+}
+
+/// The `topdown/schema` stage: `A_N` and the path alphabet (Lemma 4.8(1)).
+pub(crate) fn topdown_schema(
+    schema: &Nta,
+    stages: &mut Stages<'_>,
+) -> Result<Arc<SchemaArtifacts>, DecisionError> {
+    stages.cached(topdown_schema_key(schema), SchemaArtifacts::size, |ctx| {
+        compile_schema_artifacts(schema, ctx)
+    })
 }
 
 /// The Theorem 4.11 decider for a top-down uniform transducer.
@@ -296,6 +312,21 @@ impl<'a> TopdownDecider<'a> {
     pub fn cache_key(&self) -> u64 {
         self.key
     }
+
+    fn transducer_key(&self) -> StageKey {
+        StageKey::shared("topdown/transducer", self.key)
+    }
+
+    /// The `topdown/transducer` stage: the copy-side automata and the
+    /// rearranging NTA (Lemmas 4.8(2), 4.9, 4.10).
+    fn transducer_stage(
+        &self,
+        stages: &mut Stages<'_>,
+    ) -> Result<Arc<TransducerArtifacts>, DecisionError> {
+        stages.cached(self.transducer_key(), TransducerArtifacts::size, |ctx| {
+            compile_transducer_artifacts(self.t, ctx)
+        })
+    }
 }
 
 impl Decider for TopdownDecider<'_> {
@@ -304,120 +335,32 @@ impl Decider for TopdownDecider<'_> {
     }
 
     fn artifact_stages(&self, schema: &Nta) -> Vec<StageKey> {
-        vec![
-            StageKey::shared("topdown/schema", stable_hash_of(schema)),
-            StageKey::shared("topdown/transducer", self.key),
-        ]
+        vec![topdown_schema_key(schema), self.transducer_key()]
     }
 
     fn prefetch_stage(
         &self,
         stage: StageKey,
         schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<StageReport, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        let mut ctx = StageCtx {
-            stats: &mut stats,
-            budget: &budget,
-            tracer,
-        };
+        stages: &mut Stages<'_>,
+    ) -> Result<(), DecisionError> {
         match stage.kind {
-            "topdown/schema" => {
-                governed_stage(
-                    cache,
-                    stage,
-                    SchemaArtifacts::size,
-                    || {
-                        try_compile_schema_artifacts(schema, &budget)
-                            .map_err(|b| DecisionError::exhausted("topdown/schema", b))
-                    },
-                    &mut ctx,
-                )?;
-            }
-            "topdown/transducer" => {
-                governed_stage(
-                    cache,
-                    stage,
-                    TransducerArtifacts::size,
-                    || {
-                        try_compile_transducer_artifacts_traced(self.t, &budget, tracer)
-                            .map_err(|b| DecisionError::exhausted("topdown/transducer", b))
-                    },
-                    &mut ctx,
-                )?;
-            }
-            _ => {
-                return Err(DecisionError::Internal(format!(
-                    "topdown decider has no stage {:?}",
-                    stage.kind
-                )))
-            }
+            "topdown/schema" => topdown_schema(schema, stages).map(drop),
+            "topdown/transducer" => self.transducer_stage(stages).map(drop),
+            _ => Err(unknown_stage(self.name(), stage)),
         }
-        stats
-            .stages
-            .pop()
-            .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
     }
 
-    fn check_traced(
-        &self,
-        schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<Verdict, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        let schema_art = governed_stage(
-            cache,
-            StageKey::shared("topdown/schema", stable_hash_of(schema)),
-            SchemaArtifacts::size,
-            || {
-                try_compile_schema_artifacts(schema, &budget)
-                    .map_err(|b| DecisionError::exhausted("topdown/schema", b))
-            },
-            &mut StageCtx {
-                stats: &mut stats,
-                budget: &budget,
-                tracer,
-            },
-        )?;
-        let trans_art = governed_stage(
-            cache,
-            StageKey::shared("topdown/transducer", self.key),
-            TransducerArtifacts::size,
-            || {
-                try_compile_transducer_artifacts_traced(self.t, &budget, tracer)
-                    .map_err(|b| DecisionError::exhausted("topdown/transducer", b))
-            },
-            &mut StageCtx {
-                stats: &mut stats,
-                budget: &budget,
-                tracer,
-            },
-        )?;
-        let start = Instant::now();
-        let fuel_before = budget.fuel_spent();
-        let span = tracer.span("topdown/decide");
-        let report =
-            try_is_text_preserving_traced(&schema_art, &trans_art, schema, &budget, tracer)
-                .map_err(|b| DecisionError::exhausted("topdown/decide", b))?;
-        span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
-        uncached_stage("topdown/decide", start, fuel_before, &mut stats, &budget);
+    fn check(&self, schema: &Nta, stages: &mut Stages<'_>) -> Result<Outcome, DecisionError> {
+        let schema_art = topdown_schema(schema, stages)?;
+        let trans_art = self.transducer_stage(stages)?;
+        let report = stages.uncached("topdown/decide", |ctx| {
+            is_text_preserving_with(&schema_art, &trans_art, schema, ctx)
+        })?;
         let outcome: Outcome = report.into();
         #[cfg(debug_assertions)]
         validate_topdown_outcome(self.t, schema, &outcome);
-        Ok(Verdict {
-            decider: self.name(),
-            analysis: self.analysis(),
-            outcome,
-            stats,
-            degraded: None,
-        })
+        Ok(outcome)
     }
 }
 
@@ -488,74 +431,42 @@ where
 }
 
 impl<P: MsoDefinable> DtlDecider<'_, P> {
-    /// The `dtl/counterexample` cache key: the counter-example automaton
+    /// The `dtl/counterexample` stage key: the counter-example automaton
     /// depends on (transducer, `|Σ|`).
-    fn ce_key(&self, n_symbols: usize) -> u64 {
+    fn ce_key(&self, n_symbols: usize) -> StageKey {
         let mut h = StableHasher::new();
         h.write_u64(self.key);
         h.write_usize(n_symbols);
-        h.finish()
+        StageKey::shared("dtl/counterexample", h.finish())
     }
 
-    /// The symbolic (exact) pipeline, governed and traced.
-    fn symbolic(
+    /// The `dtl/counterexample` stage: the MSO→NBTA compilation of the
+    /// Section 5.3 counter-example conditions.
+    fn counterexample_stage(
         &self,
-        schema: &Nta,
-        cache: &ArtifactCache,
-        budget: &BudgetHandle,
-        stats: &mut CheckStats,
-        tracer: &Tracer,
-    ) -> Result<Outcome, DecisionError> {
-        let n_symbols = schema.symbol_count();
-        let schema_art = governed_stage(
-            cache,
-            StageKey::shared("dtl/schema", stable_hash_of(schema)),
-            DtlSchemaArtifacts::size,
-            || {
-                try_compile_schema_nbta(schema, budget)
-                    .map_err(|b| DecisionError::exhausted("dtl/schema", b))
-            },
-            &mut StageCtx {
-                stats,
-                budget,
-                tracer,
-            },
-        )?;
-        let ce_art = governed_stage(
-            cache,
-            StageKey::shared("dtl/counterexample", self.ce_key(n_symbols)),
+        n_symbols: usize,
+        stages: &mut Stages<'_>,
+    ) -> Result<Arc<DtlTransducerArtifacts>, DecisionError> {
+        stages.cached(
+            self.ce_key(n_symbols),
             DtlTransducerArtifacts::size,
-            || {
-                try_compile_counterexample_traced(self.t, n_symbols, budget, tracer)
-                    .map_err(|e| dtl_error("dtl/counterexample", e))
-            },
-            &mut StageCtx {
-                stats,
-                budget,
-                tracer,
-            },
-        )?;
-        let start = Instant::now();
-        let fuel_before = budget.fuel_spent();
-        let span = tracer.span("dtl/decide");
-        let report = try_dtl_text_preserving_traced(&ce_art, &schema_art, budget, tracer)
-            .map_err(|e| dtl_error("dtl/decide", e))?;
-        span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
-        uncached_stage("dtl/decide", start, fuel_before, stats, budget);
-        Ok(match report {
-            DtlCheckReport::Preserving => Outcome::Preserving,
-            DtlCheckReport::NotPreserving { witness } => Outcome::NotPreserving { witness },
-        })
+            |ctx| compile_counterexample(self.t, n_symbols, ctx),
+        )
     }
 }
 
-/// Maps a [`DtlDecideError`] onto the engine error, attributing budget
-/// exhaustion to `stage`.
-fn dtl_error(stage: &'static str, e: DtlDecideError) -> DecisionError {
-    match e {
-        DtlDecideError::Budget(b) => DecisionError::exhausted(stage, b),
-        DtlDecideError::Internal(msg) => DecisionError::Internal(msg),
-    }
+fn dtl_schema_key(schema: &Nta) -> StageKey {
+    StageKey::shared("dtl/schema", stable_hash_of(schema))
+}
+
+/// The `dtl/schema` stage: the schema NBTA over the binary encoding.
+fn dtl_schema(
+    schema: &Nta,
+    stages: &mut Stages<'_>,
+) -> Result<Arc<DtlSchemaArtifacts>, DecisionError> {
+    stages.cached(dtl_schema_key(schema), DtlSchemaArtifacts::size, |ctx| {
+        compile_schema_nbta(schema, ctx)
+    })
 }
 
 impl<P> Decider for DtlDecider<'_, P>
@@ -568,126 +479,60 @@ where
     }
 
     fn artifact_stages(&self, schema: &Nta) -> Vec<StageKey> {
-        vec![
-            StageKey::shared("dtl/schema", stable_hash_of(schema)),
-            StageKey::shared("dtl/counterexample", self.ce_key(schema.symbol_count())),
-        ]
+        vec![dtl_schema_key(schema), self.ce_key(schema.symbol_count())]
     }
 
     fn prefetch_stage(
         &self,
         stage: StageKey,
         schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<StageReport, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        let mut ctx = StageCtx {
-            stats: &mut stats,
-            budget: &budget,
-            tracer,
-        };
+        stages: &mut Stages<'_>,
+    ) -> Result<(), DecisionError> {
         match stage.kind {
-            "dtl/schema" => {
-                governed_stage(
-                    cache,
-                    stage,
-                    DtlSchemaArtifacts::size,
-                    || {
-                        try_compile_schema_nbta(schema, &budget)
-                            .map_err(|b| DecisionError::exhausted("dtl/schema", b))
-                    },
-                    &mut ctx,
-                )?;
-            }
-            "dtl/counterexample" => {
-                let n_symbols = schema.symbol_count();
-                governed_stage(
-                    cache,
-                    stage,
-                    DtlTransducerArtifacts::size,
-                    || {
-                        try_compile_counterexample_traced(self.t, n_symbols, &budget, tracer)
-                            .map_err(|e| dtl_error("dtl/counterexample", e))
-                    },
-                    &mut ctx,
-                )?;
-            }
-            _ => {
-                return Err(DecisionError::Internal(format!(
-                    "dtl decider has no stage {:?}",
-                    stage.kind
-                )))
-            }
+            "dtl/schema" => dtl_schema(schema, stages).map(drop),
+            "dtl/counterexample" => self
+                .counterexample_stage(schema.symbol_count(), stages)
+                .map(drop),
+            _ => Err(unknown_stage(self.name(), stage)),
         }
-        stats
-            .stages
-            .pop()
-            .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
     }
 
-    fn check_traced(
+    fn check(&self, schema: &Nta, stages: &mut Stages<'_>) -> Result<Outcome, DecisionError> {
+        let schema_art = dtl_schema(schema, stages)?;
+        let ce_art = self.counterexample_stage(schema.symbol_count(), stages)?;
+        let report = stages.uncached("dtl/decide", |ctx| {
+            dtl_text_preserving_with(&ce_art, &schema_art, ctx)
+        })?;
+        let outcome = match report {
+            DtlCheckReport::Preserving => Outcome::Preserving,
+            DtlCheckReport::NotPreserving { witness } => Outcome::NotPreserving { witness },
+        };
+        #[cfg(debug_assertions)]
+        validate_dtl_outcome(self.t, schema, &outcome);
+        Ok(outcome)
+    }
+
+    /// Falls back to the bounded-enumeration oracle: sound but incomplete,
+    /// so the engine marks the verdict degraded with the bound that was
+    /// actually searched.
+    fn degrade(
         &self,
         schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<Verdict, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        match self.symbolic(schema, cache, &budget, &mut stats, tracer) {
-            Ok(outcome) => {
-                #[cfg(debug_assertions)]
-                validate_dtl_outcome(self.t, schema, &outcome);
-                Ok(Verdict {
-                    decider: self.name(),
-                    analysis: self.analysis(),
-                    outcome,
-                    stats,
-                    degraded: None,
-                })
-            }
-            Err(e) if e.is_resource_exhausted() && options.degrade.is_some() => {
-                // Graceful degradation: the symbolic pipeline ran out of
-                // budget; fall back to the bounded-enumeration oracle.
-                // Sound but incomplete — the verdict is marked degraded
-                // with the bound that was actually searched.
-                let bound = options.degrade.expect("checked is_some");
-                let start = Instant::now();
-                let span = tracer.span("dtl/bounded");
-                let witness = tpx_dtl::bounded::bounded_counterexample(
-                    self.t,
-                    schema,
-                    bound.max_nodes,
-                    bound.limit,
-                )
-                .map_err(|err| DecisionError::Internal(err.to_string()))?;
-                span.exit_with(SpanFields::new().fuel(0));
-                stats.stages.push(StageReport {
-                    stage: "dtl/bounded",
-                    duration: start.elapsed(),
-                    artifact_size: None,
-                    cache_hit: None,
-                    fuel: Some(0),
-                });
-                let outcome = match witness {
-                    None => Outcome::Preserving,
-                    Some(witness) => Outcome::NotPreserving { witness },
-                };
-                #[cfg(debug_assertions)]
-                validate_dtl_outcome(self.t, schema, &outcome);
-                Ok(Verdict {
-                    decider: self.name(),
-                    analysis: self.analysis(),
-                    outcome,
-                    stats,
-                    degraded: Some(bound),
-                })
-            }
-            Err(e) => Err(e),
-        }
+        bound: DegradeBound,
+        stages: &mut Stages<'_>,
+    ) -> Option<Result<Outcome, DecisionError>> {
+        let witness = stages.uncached("dtl/bounded", |_| {
+            tpx_dtl::bounded::bounded_counterexample(self.t, schema, bound.max_nodes, bound.limit)
+        });
+        Some(witness.map(|witness| {
+            let outcome = match witness {
+                None => Outcome::Preserving,
+                Some(witness) => Outcome::NotPreserving { witness },
+            };
+            #[cfg(debug_assertions)]
+            validate_dtl_outcome(self.t, schema, &outcome);
+            outcome
+        }))
     }
 }
 

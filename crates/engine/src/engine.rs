@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use crate::budget::{CheckOptions, DecisionError};
 use crate::cache::{panic_message, ArtifactCache, CacheStats};
-use crate::decider::{Decider, StageKey};
+use crate::decider::{Decider, StageKey, Stages};
 use crate::scheduler::{execute, StageGraph};
 use crate::verdict::{StageReport, Verdict};
 use tpx_obs::{Metrics, Tracer};
@@ -169,7 +169,7 @@ impl Engine {
     ) -> Result<Verdict, DecisionError> {
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            decider.check_traced(schema, &self.cache, options, &self.tracer)
+            self.run_check(decider, schema, options)
         }))
         .unwrap_or_else(|payload| {
             Err(DecisionError::Panicked {
@@ -179,6 +179,57 @@ impl Engine {
         });
         record_check_metrics(metrics, &result, started.elapsed());
         result
+    }
+
+    /// One check: starts the budget, runs the decider's stages, falls back
+    /// to the decider's bounded search when the budget ran out and
+    /// `options` ask for degradation, and assembles the [`Verdict`].
+    fn run_check(
+        &self,
+        decider: &dyn Decider,
+        schema: &Nta,
+        options: &CheckOptions,
+    ) -> Result<Verdict, DecisionError> {
+        let budget = options.budget.start();
+        let mut stages = Stages::new(&self.cache, &budget, &self.tracer);
+        let (outcome, degraded) = match decider.check(schema, &mut stages) {
+            Ok(outcome) => (outcome, None),
+            Err(e) => match options.degrade {
+                Some(bound) if e.is_resource_exhausted() => {
+                    match decider.degrade(schema, bound, &mut stages) {
+                        Some(outcome) => (outcome?, Some(bound)),
+                        None => return Err(e),
+                    }
+                }
+                _ => return Err(e),
+            },
+        };
+        Ok(Verdict {
+            decider: decider.name(),
+            analysis: decider.analysis(),
+            outcome,
+            stats: stages.into_stats(),
+            degraded,
+        })
+    }
+
+    /// Builds one declared artifact stage under a fresh budget from
+    /// `options`, returning the stage's report.
+    fn prefetch(
+        &self,
+        decider: &dyn Decider,
+        stage: StageKey,
+        schema: &Nta,
+        options: &CheckOptions,
+    ) -> Result<StageReport, DecisionError> {
+        let budget = options.budget.start();
+        let mut stages = Stages::new(&self.cache, &budget, &self.tracer);
+        decider.prefetch_stage(stage, schema, &mut stages)?;
+        stages
+            .into_stats()
+            .stages
+            .pop()
+            .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
     }
 
     /// Runs every task, returning verdicts in task order.
@@ -288,7 +339,7 @@ impl Engine {
                 // Panic-isolated like checks; a lost prefetch only costs
                 // the overlap (the finalize rebuilds under its budget).
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    decider.prefetch_stage(stage, schema, &self.cache, options, &self.tracer)
+                    self.prefetch(decider, stage, schema, options)
                 }));
                 match outcome {
                     Ok(Ok(report)) => record_stage_metrics(metrics, &report),

@@ -51,12 +51,14 @@ pub use analysis::{
 };
 pub use budget::{
     Budget, BudgetExceeded, BudgetHandle, CheckOptions, DecisionError, DegradeBound, ExhaustReason,
+    StageError,
 };
 pub use cache::{ArtifactCache, CacheError, CacheStats};
 pub use conformance::OutputConformanceDecider;
-pub use decider::{Decider, DtlDecider, StageKey, TopdownDecider};
+pub use decider::{Decider, DtlDecider, StageKey, Stages, TopdownDecider};
 pub use engine::{BatchStats, Engine, Task};
 pub use retention::TextRetentionDecider;
 pub use scheduler::{RunStats, StageGraph};
 pub use tpx_obs::{Metrics, MetricsSnapshot, Span, SpanFields, TraceEvent, Tracer};
+pub use tpx_topdown::StageCtx;
 pub use verdict::{CheckStats, Outcome, StageReport, Verdict};

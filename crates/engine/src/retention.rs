@@ -1,6 +1,6 @@
-//! The text-retention decider: a governed, staged, traced wrapper around
-//! `tpx_topdown::extensions` — *does the transducer ever delete a text
-//! value below a node carrying one of the selected labels?*
+//! The text-retention decider: the stages of `tpx_topdown::extensions`
+//! run through the engine — *does the transducer ever delete a text value
+//! below a node carrying one of the selected labels?*
 //!
 //! Pipeline stages:
 //!
@@ -10,27 +10,27 @@
 //! | `topdown/retention/transducer` | yes    | transducer hash, under the retention analysis |
 //! | `topdown/retention/decide`     | no     | — |
 //!
-//! The schema-side artifact is the *same* `A_N` + path-alphabet bundle the
-//! text-preservation decider uses, declared with an analysis-free
-//! [`StageKey`], so a mixed batch over one schema compiles it exactly
+//! The schema-side stage is the *same* `topdown/schema` stage the
+//! text-preservation decider runs (one definition, an analysis-free
+//! [`StageKey`]), so a mixed batch over one schema compiles it exactly
 //! once. The transducer-side artifact (`A_T`) is independent of the
 //! selected labels, so every retention query against the same transducer
 //! shares it; the labels only parameterize the cheap, uncached decide
 //! stage (a product with a 2-state NFA plus the antichain inclusion
 //! search).
 
-use std::time::Instant;
+use std::sync::Arc;
 
 use crate::analysis::{Analysis, TEXT_RETENTION};
-use crate::budget::{CheckOptions, DecisionError};
-use crate::cache::ArtifactCache;
-use crate::decider::{governed_stage, uncached_stage, Decider, StageCtx, StageKey};
-use crate::verdict::{CheckStats, Outcome, StageReport, Verdict};
-use tpx_obs::{SpanFields, Tracer};
-use tpx_topdown::extensions::{
-    try_compile_retention_artifacts, try_deleted_text_under_with, RetentionArtifacts,
+use crate::budget::DecisionError;
+use crate::decider::{
+    topdown_schema, topdown_schema_key, unknown_stage, Decider, StageKey, Stages,
 };
-use tpx_topdown::{try_compile_schema_artifacts, SchemaArtifacts, Transducer};
+use crate::verdict::Outcome;
+use tpx_topdown::extensions::{
+    compile_retention_artifacts, deleted_text_under_with, RetentionArtifacts,
+};
+use tpx_topdown::Transducer;
 use tpx_treeauto::Nta;
 use tpx_trees::{stable_hash_of, Symbol};
 
@@ -60,6 +60,22 @@ impl<'a> TextRetentionDecider<'a> {
     }
 }
 
+impl TextRetentionDecider<'_> {
+    fn transducer_key(&self) -> StageKey {
+        StageKey::of(TEXT_RETENTION, "topdown/retention/transducer", self.key)
+    }
+
+    /// The `topdown/retention/transducer` stage: `A_T`.
+    fn transducer_stage(
+        &self,
+        stages: &mut Stages<'_>,
+    ) -> Result<Arc<RetentionArtifacts>, DecisionError> {
+        stages.cached(self.transducer_key(), RetentionArtifacts::size, |ctx| {
+            compile_retention_artifacts(self.t, ctx)
+        })
+    }
+}
+
 impl Decider for TextRetentionDecider<'_> {
     fn name(&self) -> &'static str {
         "topdown/retention"
@@ -70,129 +86,35 @@ impl Decider for TextRetentionDecider<'_> {
     }
 
     fn artifact_stages(&self, schema: &Nta) -> Vec<StageKey> {
-        vec![
-            StageKey::shared("topdown/schema", stable_hash_of(schema)),
-            StageKey::of(TEXT_RETENTION, "topdown/retention/transducer", self.key),
-        ]
+        vec![topdown_schema_key(schema), self.transducer_key()]
     }
 
     fn prefetch_stage(
         &self,
         stage: StageKey,
         schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<StageReport, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        let mut ctx = StageCtx {
-            stats: &mut stats,
-            budget: &budget,
-            tracer,
-        };
+        stages: &mut Stages<'_>,
+    ) -> Result<(), DecisionError> {
         match stage.kind {
-            "topdown/schema" => {
-                governed_stage(
-                    cache,
-                    stage,
-                    SchemaArtifacts::size,
-                    || {
-                        try_compile_schema_artifacts(schema, &budget)
-                            .map_err(|b| DecisionError::exhausted("topdown/schema", b))
-                    },
-                    &mut ctx,
-                )?;
-            }
-            "topdown/retention/transducer" => {
-                governed_stage(
-                    cache,
-                    stage,
-                    RetentionArtifacts::size,
-                    || {
-                        try_compile_retention_artifacts(self.t, &budget).map_err(|b| {
-                            DecisionError::exhausted("topdown/retention/transducer", b)
-                        })
-                    },
-                    &mut ctx,
-                )?;
-            }
-            _ => {
-                return Err(DecisionError::Internal(format!(
-                    "retention decider has no stage {:?}",
-                    stage.kind
-                )))
-            }
+            "topdown/schema" => topdown_schema(schema, stages).map(drop),
+            "topdown/retention/transducer" => self.transducer_stage(stages).map(drop),
+            _ => Err(unknown_stage(self.name(), stage)),
         }
-        stats
-            .stages
-            .pop()
-            .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
     }
 
-    fn check_traced(
-        &self,
-        schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<Verdict, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        let schema_art = governed_stage(
-            cache,
-            StageKey::shared("topdown/schema", stable_hash_of(schema)),
-            SchemaArtifacts::size,
-            || {
-                try_compile_schema_artifacts(schema, &budget)
-                    .map_err(|b| DecisionError::exhausted("topdown/schema", b))
-            },
-            &mut StageCtx {
-                stats: &mut stats,
-                budget: &budget,
-                tracer,
-            },
-        )?;
-        let trans_art = governed_stage(
-            cache,
-            StageKey::of(TEXT_RETENTION, "topdown/retention/transducer", self.key),
-            RetentionArtifacts::size,
-            || {
-                try_compile_retention_artifacts(self.t, &budget)
-                    .map_err(|b| DecisionError::exhausted("topdown/retention/transducer", b))
-            },
-            &mut StageCtx {
-                stats: &mut stats,
-                budget: &budget,
-                tracer,
-            },
-        )?;
-        let start = Instant::now();
-        let fuel_before = budget.fuel_spent();
-        let span = tracer.span("topdown/retention/decide");
-        let witness = try_deleted_text_under_with(&schema_art, &trans_art, &self.labels, &budget)
-            .map_err(|b| DecisionError::exhausted("topdown/retention/decide", b))?;
-        span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
-        uncached_stage(
-            "topdown/retention/decide",
-            start,
-            fuel_before,
-            &mut stats,
-            &budget,
-        );
+    fn check(&self, schema: &Nta, stages: &mut Stages<'_>) -> Result<Outcome, DecisionError> {
+        let schema_art = topdown_schema(schema, stages)?;
+        let trans_art = self.transducer_stage(stages)?;
+        let witness = stages.uncached("topdown/retention/decide", |ctx| {
+            deleted_text_under_with(&schema_art, &trans_art, &self.labels, ctx)
+        })?;
         let outcome = match witness {
             None => Outcome::Preserving,
             Some(path) => Outcome::DeletesText { path },
         };
         #[cfg(debug_assertions)]
         validate_retention_outcome(self.t, schema, &self.labels, &outcome);
-        Ok(Verdict {
-            decider: self.name(),
-            analysis: self.analysis(),
-            outcome,
-            stats,
-            degraded: None,
-        })
+        Ok(outcome)
     }
 }
 

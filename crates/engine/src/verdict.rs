@@ -86,7 +86,10 @@ impl From<CheckReport> for Outcome {
     }
 }
 
-/// Instrumentation for one pipeline stage.
+/// Instrumentation for one pipeline stage: the stage's one record. The
+/// engine writes it from the same measurement that closes the stage's span
+/// (see [`crate::Stages`]), so the span's `fuel`, `size` and `hit` fields
+/// always equal this report's.
 #[derive(Clone, Debug)]
 pub struct StageReport {
     /// Stage name, e.g. `"topdown/schema"` or `"dtl/counterexample"`.
@@ -101,9 +104,10 @@ pub struct StageReport {
     /// by this check (`Some(false)`), or the stage is uncached (`None`).
     ///
     /// In a batch ([`crate::Engine::check_many`]) the attribution is
-    /// deterministic: the scheduler prefetches every declared stage before
-    /// the check runs, so the miss belongs to the prefetch task and the
-    /// check itself reports a hit — identically on 1 or N workers.
+    /// deterministic: the scheduler prefetches every declared stage (with
+    /// the same stage definition the check uses) before the check runs, so
+    /// the miss belongs to the prefetch task's report and the check itself
+    /// reports a hit — identically on 1 or N workers.
     pub cache_hit: Option<bool>,
     /// Fuel charged by this stage under a governed check (`None` when the
     /// check ran ungoverned). Cache hits report `Some(0)`: the fuel was

@@ -4,7 +4,7 @@
 
 use tpx_engine::{
     ArtifactCache, Budget, CheckOptions, Decider, DecisionError, DegradeBound, DtlDecider, Engine,
-    ExhaustReason, Outcome, Task, TopdownDecider, Verdict,
+    ExhaustReason, Outcome, Stages, Task, TopdownDecider, Verdict,
 };
 use tpx_treeauto::{Nta, NtaBuilder};
 use tpx_trees::Alphabet;
@@ -259,13 +259,7 @@ impl Decider for PanickingDecider {
         "panicking"
     }
 
-    fn check_traced(
-        &self,
-        _schema: &Nta,
-        _cache: &ArtifactCache,
-        _options: &CheckOptions,
-        _tracer: &tpx_engine::Tracer,
-    ) -> Result<Verdict, DecisionError> {
+    fn check(&self, _schema: &Nta, _stages: &mut Stages<'_>) -> Result<Outcome, DecisionError> {
         panic!("decider blew up on this instance");
     }
 }

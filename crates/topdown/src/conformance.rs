@@ -32,6 +32,7 @@
 
 use std::collections::HashMap;
 
+use crate::stage::StageCtx;
 use crate::transducer::{RhsNode, Transducer};
 use tpx_automata::Nfa;
 use tpx_treeauto::{Nta, State};
@@ -326,19 +327,21 @@ fn intern(
     Ok(i)
 }
 
-/// Compiles the conformance artifact: the NTA of input trees over an
-/// `n_symbols`-wide alphabet whose image under `t` violates `target`.
+/// The artifact stage of the conformance analysis: the NTA of input trees
+/// over an `n_symbols`-wide alphabet whose image under `t` violates
+/// `target`.
 ///
 /// `n_symbols` must cover every symbol that input trees may carry — pass
 /// `max` over the transducer, the target *and* the input schema(s) the
 /// artifact will be checked against (symbols unknown to `t` are transformed
 /// to `ε`, which still matters for the type of their ancestors).
-pub fn try_compile_conformance_artifacts(
+pub fn compile_conformance_artifacts(
     t: &Transducer,
     target: &Nta,
     n_symbols: usize,
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<ConformanceArtifacts, BudgetExceeded> {
+    let budget = ctx.budget;
     budget.charge(1)?;
     let idx = TargetIndex::build(target, budget)?;
     let n_syms = n_symbols.max(t.symbol_count()).max(target.symbol_count());
@@ -446,25 +449,16 @@ pub fn try_compile_conformance_artifacts(
     Ok(ConformanceArtifacts { bad })
 }
 
-/// Unbudgeted [`try_compile_conformance_artifacts`].
-pub fn compile_conformance_artifacts(
-    t: &Transducer,
-    target: &Nta,
-    n_symbols: usize,
-) -> ConformanceArtifacts {
-    try_compile_conformance_artifacts(t, target, n_symbols, &BudgetHandle::unlimited())
-        .expect("unlimited budget")
-}
-
 /// The decision stage of the conformance analysis over a precompiled
 /// artifact: a schema tree whose image violates the target, or `None` when
 /// `T(L(schema)) ⊆ L(target)`. Runs the governed intersect → trim →
-/// witness pipeline under the caller's budget.
-pub fn try_conformance_witness_with(
+/// witness pipeline under the context's budget.
+pub fn conformance_witness_with(
     art: &ConformanceArtifacts,
     schema: &Nta,
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<Option<Tree>, BudgetExceeded> {
+    let budget = ctx.budget;
     budget.charge(1)?;
     let padded;
     let schema = if schema.symbol_count() < art.bad.symbol_count() {
@@ -474,7 +468,7 @@ pub fn try_conformance_witness_with(
         assert!(
             schema.symbol_count() == art.bad.symbol_count(),
             "conformance artifact compiled for a narrower alphabet than the schema; \
-             pass the schema's symbol count to try_compile_conformance_artifacts"
+             pass the schema's symbol count to compile_conformance_artifacts"
         );
         schema
     };
@@ -507,22 +501,18 @@ fn pad_symbols(nta: &Nta, n_symbols: usize) -> Nta {
 /// A schema tree whose image under `t` does not conform to `target`, or
 /// `None` when the transformation always stays inside the target.
 ///
-/// Convenience wrapper compiling the artifact eagerly; the engine's
-/// `OutputConformanceDecider` caches it instead.
+/// One-shot convenience running both stages under an unlimited budget;
+/// the engine's `OutputConformanceDecider` caches the artifact instead.
 pub fn conformance_witness(t: &Transducer, schema: &Nta, target: &Nta) -> Option<Tree> {
     let n = t
         .symbol_count()
         .max(target.symbol_count())
         .max(schema.symbol_count());
-    let unlimited = BudgetHandle::unlimited();
-    let art =
-        try_compile_conformance_artifacts(t, target, n, &unlimited).expect("unlimited budget");
-    try_conformance_witness_with(&art, schema, &unlimited).expect("unlimited budget")
-}
-
-/// Whether `T(L(schema)) ⊆ L(target)`.
-pub fn output_conforms(t: &Transducer, schema: &Nta, target: &Nta) -> bool {
-    conformance_witness(t, schema, target).is_none()
+    StageCtx::unlimited(|ctx| {
+        let art = compile_conformance_artifacts(t, target, n, ctx)?;
+        conformance_witness_with(&art, schema, ctx)
+    })
+    .expect("unlimited budget")
 }
 
 // ---------------------------------------------------------------------------
@@ -550,6 +540,7 @@ mod tests {
     use super::*;
     use crate::samples;
     use crate::transducer::TransducerBuilder;
+    use tpx_obs::Tracer;
     use tpx_schema::samples::recipe_dtd;
     use tpx_trees::budget::{Budget, ExhaustReason};
     use tpx_trees::samples::recipe_alphabet;
@@ -571,7 +562,7 @@ mod tests {
         let al = recipe_alphabet();
         let nta = recipe_dtd(&al).to_nta();
         let t = identity_transducer(&al);
-        assert!(output_conforms(&t, &nta, &nta));
+        assert!(conformance_witness(&t, &nta, &nta).is_none());
     }
 
     #[test]
@@ -617,7 +608,7 @@ mod tests {
         cb.add_transition(cb0, sb, cb0);
         target.set_content(sb, al.sym("b"), cb);
         target.add_root(sb);
-        assert!(output_conforms(&t, &schema, &target));
+        assert!(conformance_witness(&t, &schema, &target).is_none());
         // Target accepting only b-leaves: a(a) maps to b(b), which violates.
         let mut leaf_only = Nta::new(2);
         let sl = leaf_only.add_state();
@@ -639,7 +630,7 @@ mod tests {
         let nta = recipe_dtd(&al).to_nta();
         // A transducer with no rules at all outputs the empty hedge.
         let b = TransducerBuilder::new(&al, "q").finish();
-        assert!(output_conforms(&b, &nta, &nta));
+        assert!(conformance_witness(&b, &nta, &nta).is_none());
     }
 
     #[test]
@@ -649,15 +640,17 @@ mod tests {
         let t = samples::example_4_2(&al);
         let n = t.symbol_count().max(nta.symbol_count());
         let gen = Budget::default().with_fuel(50_000_000).start();
-        let art = try_compile_conformance_artifacts(&t, &nta, n, &gen).unwrap();
-        try_conformance_witness_with(&art, &nta, &gen).unwrap();
+        let gen_ctx = StageCtx::new(&gen, Tracer::disabled_ref());
+        let art = compile_conformance_artifacts(&t, &nta, n, gen_ctx).unwrap();
+        conformance_witness_with(&art, &nta, gen_ctx).unwrap();
         assert!(gen.fuel_spent() > 0);
         let z = Budget::default().with_fuel(0).start();
-        let err = try_compile_conformance_artifacts(&t, &nta, n, &z)
+        let z_ctx = StageCtx::new(&z, Tracer::disabled_ref());
+        let err = compile_conformance_artifacts(&t, &nta, n, z_ctx)
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.reason, ExhaustReason::Fuel);
-        let err = try_conformance_witness_with(&art, &nta, &z)
+        let err = conformance_witness_with(&art, &nta, z_ctx)
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.reason, ExhaustReason::Fuel);

@@ -12,11 +12,18 @@
 //!
 //! All constructions are polynomial; emptiness tests are linear-time graph
 //! searches, so the whole decision procedure is PTIME.
+//!
+//! Each stage is one function taking a [`StageCtx`]: it charges fuel
+//! against the context's budget and opens its sub-spans on the context's
+//! tracer. The `tpx-engine` crate runs the stages under a check's budget
+//! and caches their artifacts; the one-shot entry points
+//! ([`is_text_preserving`], [`copying_witness`], [`rearranging_witness`],
+//! [`rearranging_nta`]) run them under an unlimited budget.
 
 use crate::paths::{path_automaton_nta, path_automaton_transducer, PathSym};
+use crate::stage::StageCtx;
 use crate::transducer::{frontier_states, TdState, Transducer};
 use tpx_automata::{Nfa, StateId};
-use tpx_obs::{SpanFields, Tracer};
 use tpx_treeauto::{Nta, State};
 use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 use tpx_trees::{Symbol, Tree};
@@ -70,8 +77,8 @@ impl SchemaArtifacts {
 
 /// The copy-side transducer stage: the Lemma 4.5 condition automata built
 /// from `A_T` (Lemma 4.8(2)). Linear in `|T|`² — cheap next to the
-/// rearranging NTA, so callers that only need the copying half (e.g.
-/// [`crate::extensions`], the E1 copying-only sweep) can stop here.
+/// rearranging NTA, so [`copying_witness`] (the E1 copying-only sweep)
+/// stops here.
 #[derive(Clone, Debug)]
 pub struct CopyArtifacts {
     /// `A_T`, the transducer path automaton (Lemma 4.8(2)).
@@ -109,38 +116,29 @@ impl TransducerArtifacts {
     }
 }
 
-/// Stage 1a: compiles the schema-side artifacts (Lemma 4.8(1)).
-pub fn compile_schema_artifacts(nta: &Nta) -> SchemaArtifacts {
-    try_compile_schema_artifacts(nta, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_schema_artifacts`]: charges one fuel unit per state
-/// and transition of the constructed path automaton.
-pub fn try_compile_schema_artifacts(
+/// Stage 1a: the schema-side artifacts (Lemma 4.8(1)). Charges one fuel
+/// unit per state and transition of the constructed path automaton.
+pub fn compile_schema_artifacts(
     nta: &Nta,
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<SchemaArtifacts, BudgetExceeded> {
     // Entering the stage costs one unit, so a zero-fuel budget fails fast
     // before any construction starts.
-    budget.charge(1)?;
+    ctx.budget.charge(1)?;
     let a_n = path_automaton_nta(nta);
-    budget.charge(a_n.size() as u64)?;
+    ctx.budget.charge(a_n.size() as u64)?;
     let mut path_alphabet: Vec<PathSym> = (0..nta.symbol_count() as u32)
         .map(|i| PathSym::Elem(Symbol(i)))
         .collect();
     path_alphabet.push(PathSym::Text);
-    budget.charge(path_alphabet.len() as u64)?;
+    ctx.budget.charge(path_alphabet.len() as u64)?;
     Ok(SchemaArtifacts { a_n, path_alphabet })
 }
 
-/// Stage 1b (copy side): `A_T` and the two Lemma 4.5 condition automata.
-pub fn compile_copy_artifacts(t: &Transducer) -> CopyArtifacts {
-    try_compile_copy_artifacts(t, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_copy_artifacts`]: fuel is charged inside the pair and
-/// doubling constructions, one unit per product state row.
-pub fn try_compile_copy_artifacts(
+/// The copy side of stage 1b: `A_T` and the two Lemma 4.5 condition
+/// automata. Fuel is charged inside the pair and doubling constructions,
+/// one unit per product state row.
+fn compile_copy_artifacts(
     t: &Transducer,
     budget: &BudgetHandle,
 ) -> Result<CopyArtifacts, BudgetExceeded> {
@@ -155,63 +153,34 @@ pub fn try_compile_copy_artifacts(
     })
 }
 
-/// Stage 1b (full): copy-side automata plus the Lemma 4.10 rearranging NTA.
-pub fn compile_transducer_artifacts(t: &Transducer) -> TransducerArtifacts {
-    try_compile_transducer_artifacts(t, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_transducer_artifacts`]: fuel probes run inside both
-/// the copy-side construction and the rearranging-NTA state loops.
-pub fn try_compile_transducer_artifacts(
+/// Stage 1b: the copy-side automata plus the Lemma 4.10 rearranging NTA.
+/// Each half runs in its own sub-span (`topdown/transducer/copying`,
+/// `topdown/transducer/rearranging`) carrying the fuel it charged and the
+/// size of what it built.
+pub fn compile_transducer_artifacts(
     t: &Transducer,
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<TransducerArtifacts, BudgetExceeded> {
-    try_compile_transducer_artifacts_traced(t, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_compile_transducer_artifacts`]: emits one sub-span per
-/// compiled half (`topdown/transducer/copying`,
-/// `topdown/transducer/rearranging`) carrying the fuel charged and the
-/// artifact size. With a disabled tracer this is exactly the untraced call.
-pub fn try_compile_transducer_artifacts_traced(
-    t: &Transducer,
-    budget: &BudgetHandle,
-    tracer: &Tracer,
-) -> Result<TransducerArtifacts, BudgetExceeded> {
-    let span = tracer.span("topdown/transducer/copying");
-    let fuel_before = budget.fuel_spent();
-    let copying = try_compile_copy_artifacts(t, budget)?;
-    span.exit_with(
-        SpanFields::new()
-            .fuel(budget.fuel_spent() - fuel_before)
-            .size(copying.size()),
-    );
-    let span = tracer.span("topdown/transducer/rearranging");
-    let fuel_before = budget.fuel_spent();
-    let rearranging = try_rearranging_nta(t, budget)?;
-    span.exit_with(
-        SpanFields::new()
-            .fuel(budget.fuel_spent() - fuel_before)
-            .size(rearranging.size()),
-    );
+    let copying = ctx.span(
+        "topdown/transducer/copying",
+        |c: &CopyArtifacts| Some(c.size()),
+        || compile_copy_artifacts(t, ctx.budget),
+    )?;
+    let rearranging = ctx.span(
+        "topdown/transducer/rearranging",
+        |m: &Nta| Some(m.size()),
+        || build_rearranging_nta(t, ctx.budget),
+    )?;
     Ok(TransducerArtifacts {
         copying,
         rearranging,
     })
 }
 
-/// Stage 2 (copying): the Lemma 4.9 emptiness tests over precompiled
-/// artifacts — two linear products plus shortest-word searches.
-pub fn copying_witness_with(
-    schema: &SchemaArtifacts,
-    copy: &CopyArtifacts,
-) -> Option<Vec<PathSym>> {
-    try_copying_witness_with(schema, copy, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`copying_witness_with`]: charges fuel proportional to each
-/// intersection product before building it.
-pub fn try_copying_witness_with(
+/// The Lemma 4.9 emptiness tests over precompiled artifacts: two linear
+/// products plus shortest-word searches, each product charged before it
+/// is built.
+fn copying_witness_with(
     schema: &SchemaArtifacts,
     copy: &CopyArtifacts,
     budget: &BudgetHandle,
@@ -228,74 +197,45 @@ pub fn try_copying_witness_with(
     Ok(m2.shortest_word())
 }
 
-/// Stage 2 (rearranging): the Lemma 4.10 emptiness test over the
-/// precompiled rearranging NTA.
-pub fn rearranging_witness_with(transducer: &TransducerArtifacts, nta: &Nta) -> Option<Tree> {
-    try_rearranging_witness_with(transducer, nta, &BudgetHandle::unlimited())
-        .expect("unlimited budget")
-}
-
-/// Budgeted [`rearranging_witness_with`]: the product, trim, and witness
-/// search all run under the same fuel/deadline budget.
-pub fn try_rearranging_witness_with(
-    transducer: &TransducerArtifacts,
+/// The Lemma 4.10 emptiness test over the rearranging NTA `m`: product,
+/// trim and witness search all charge the budget.
+fn rearranging_witness_with(
+    m: &Nta,
     nta: &Nta,
     budget: &BudgetHandle,
 ) -> Result<Option<Tree>, BudgetExceeded> {
-    let product = transducer
-        .rearranging
-        .try_intersect(nta, budget)?
-        .try_trim(budget)?;
-    product.try_witness(budget)
+    m.try_intersect(nta, budget)?
+        .try_trim(budget)?
+        .try_witness(budget)
 }
 
-/// Stage 3: the Theorem 4.11 verdict over precompiled artifacts.
+/// Stage 2: the Theorem 4.11 verdict over precompiled artifacts. Each
+/// emptiness test runs in its own sub-span (`topdown/decide/copying`,
+/// `topdown/decide/rearranging`) carrying the fuel it charged; an
+/// exhausted budget aborts with the fuel/deadline report.
 pub fn is_text_preserving_with(
     schema: &SchemaArtifacts,
     transducer: &TransducerArtifacts,
     nta: &Nta,
-) -> CheckReport {
-    try_is_text_preserving_with(schema, transducer, nta, &BudgetHandle::unlimited())
-        .expect("unlimited budget")
-}
-
-/// Budgeted [`is_text_preserving_with`]: both emptiness tests are run under
-/// the budget; an exhausted budget aborts with the fuel/deadline report.
-pub fn try_is_text_preserving_with(
-    schema: &SchemaArtifacts,
-    transducer: &TransducerArtifacts,
-    nta: &Nta,
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<CheckReport, BudgetExceeded> {
-    try_is_text_preserving_traced(schema, transducer, nta, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_is_text_preserving_with`]: emits one sub-span per emptiness
-/// test (`topdown/decide/copying`, `topdown/decide/rearranging`) carrying
-/// the fuel each charged. With a disabled tracer this is exactly the
-/// untraced call.
-pub fn try_is_text_preserving_traced(
-    schema: &SchemaArtifacts,
-    transducer: &TransducerArtifacts,
-    nta: &Nta,
-    budget: &BudgetHandle,
-    tracer: &Tracer,
-) -> Result<CheckReport, BudgetExceeded> {
-    let span = tracer.span("topdown/decide/copying");
-    let fuel_before = budget.fuel_spent();
-    let copying = try_copying_witness_with(schema, &transducer.copying, budget)?;
-    span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
+    let copying = ctx.span(
+        "topdown/decide/copying",
+        |_| None,
+        || copying_witness_with(schema, &transducer.copying, ctx.budget),
+    )?;
     if let Some(path) = copying {
         return Ok(CheckReport::Copying { path });
     }
-    let span = tracer.span("topdown/decide/rearranging");
-    let fuel_before = budget.fuel_spent();
-    let rearranging = try_rearranging_witness_with(transducer, nta, budget)?;
-    span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
-    if let Some(witness) = rearranging {
-        return Ok(CheckReport::Rearranging { witness });
-    }
-    Ok(CheckReport::TextPreserving)
+    let rearranging = ctx.span(
+        "topdown/decide/rearranging",
+        |_| None,
+        || rearranging_witness_with(&transducer.rearranging, nta, ctx.budget),
+    )?;
+    Ok(match rearranging {
+        Some(witness) => CheckReport::Rearranging { witness },
+        None => CheckReport::TextPreserving,
+    })
 }
 
 /// Theorem 4.11: decides in PTIME whether `t` is text-preserving over
@@ -303,27 +243,38 @@ pub fn try_is_text_preserving_traced(
 ///
 /// One-shot convenience over the staged pipeline
 /// ([`compile_schema_artifacts`] → [`compile_transducer_artifacts`] →
-/// [`is_text_preserving_with`]); batch callers should compile the stages
-/// once and reuse them (see the `tpx-engine` crate).
+/// [`is_text_preserving_with`]) under an unlimited budget; batch callers
+/// should compile the stages once and reuse them (see the `tpx-engine`
+/// crate).
 pub fn is_text_preserving(t: &Transducer, nta: &Nta) -> CheckReport {
-    let schema = compile_schema_artifacts(nta);
-    let transducer = compile_transducer_artifacts(t);
-    is_text_preserving_with(&schema, &transducer, nta)
+    StageCtx::unlimited(|ctx| {
+        let schema = compile_schema_artifacts(nta, ctx)?;
+        let transducer = compile_transducer_artifacts(t, ctx)?;
+        is_text_preserving_with(&schema, &transducer, nta, ctx)
+    })
+    .expect("unlimited budget")
 }
 
 /// Lemma 4.9: whether `t` is copying over `L(nta)`; returns a witness text
 /// path. PTIME. One-shot convenience over the copy side of the staged
 /// pipeline (the rearranging NTA is *not* built).
 pub fn copying_witness(t: &Transducer, nta: &Nta) -> Option<Vec<PathSym>> {
-    copying_witness_with(&compile_schema_artifacts(nta), &compile_copy_artifacts(t))
+    StageCtx::unlimited(|ctx| {
+        let schema = compile_schema_artifacts(nta, ctx)?;
+        let copy = compile_copy_artifacts(t, ctx.budget)?;
+        copying_witness_with(&schema, &copy, ctx.budget)
+    })
+    .expect("unlimited budget")
 }
 
 /// Lemma 4.10: whether `t` is rearranging over `L(nta)`; returns a witness
 /// tree. PTIME. One-shot convenience over the staged pipeline.
 pub fn rearranging_witness(t: &Transducer, nta: &Nta) -> Option<Tree> {
-    let m = rearranging_nta(t);
-    let product = m.intersect(nta).trim();
-    product.witness()
+    StageCtx::unlimited(|ctx| {
+        let m = build_rearranging_nta(t, ctx.budget)?;
+        rearranging_witness_with(&m, nta, ctx.budget)
+    })
+    .expect("unlimited budget")
 }
 
 /// Simulates two copies of `a_t` in lock-step, accepting iff both accept
@@ -482,12 +433,13 @@ fn swap_pairs(t: &Transducer, q: TdState, a: Symbol) -> Vec<(TdState, TdState)> 
 /// The Lemma 4.10 automaton: an NTA accepting exactly the trees on which
 /// `t` rearranges (over all text trees; intersect with a schema to restrict).
 pub fn rearranging_nta(t: &Transducer) -> Nta {
-    try_rearranging_nta(t, &BudgetHandle::unlimited()).expect("unlimited budget")
+    build_rearranging_nta(t, &BudgetHandle::unlimited()).expect("unlimited budget")
 }
 
-/// Budgeted [`rearranging_nta`]: one fuel unit per content-NFA row set on
-/// the automaton (the dominant cost — each row is a fresh horizontal NFA).
-pub fn try_rearranging_nta(t: &Transducer, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
+/// [`rearranging_nta`] under a budget: one fuel unit per content-NFA row
+/// set on the automaton (the dominant cost — each row is a fresh
+/// horizontal NFA).
+fn build_rearranging_nta(t: &Transducer, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
     let sp = RearrangeSpace {
         n: t.state_count() as u32,
     };

@@ -14,17 +14,18 @@
 //! counterexample is exactly a shortest deleted text path.
 //!
 //! The *text-retention* analysis of the engine layer
-//! (`TextRetentionDecider`) is a thin governed wrapper around
-//! [`try_deleted_text_under_with`]: the schema side reuses the cached
-//! [`SchemaArtifacts`] (which carry the hoisted path alphabet), the
+//! (`TextRetentionDecider`) runs [`compile_retention_artifacts`] and
+//! [`deleted_text_under_with`] as its stages: the schema side reuses the
+//! cached [`SchemaArtifacts`] (which carry the hoisted path alphabet), the
 //! transducer side is just `A_T`.
 
-use crate::decide::SchemaArtifacts;
+use crate::decide::{compile_schema_artifacts, is_text_preserving, SchemaArtifacts};
 use crate::paths::{path_automaton_transducer, PathSym};
+use crate::stage::StageCtx;
 use crate::transducer::Transducer;
 use tpx_automata::Nfa;
 use tpx_treeauto::Nta;
-use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
+use tpx_trees::budget::BudgetExceeded;
 use tpx_trees::Symbol;
 
 /// The transducer-side artifact of the text-retention analysis: the path
@@ -44,20 +45,15 @@ impl RetentionArtifacts {
     }
 }
 
-/// Compiles the transducer-side retention artifact.
-pub fn compile_retention_artifacts(t: &Transducer) -> RetentionArtifacts {
-    try_compile_retention_artifacts(t, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_retention_artifacts`]: charges one fuel unit per
-/// state and transition of `A_T`.
-pub fn try_compile_retention_artifacts(
+/// The transducer-side stage of the text-retention analysis: charges one
+/// fuel unit per state and transition of `A_T`.
+pub fn compile_retention_artifacts(
     t: &Transducer,
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<RetentionArtifacts, BudgetExceeded> {
-    budget.charge(1)?;
+    ctx.budget.charge(1)?;
     let a_t = path_automaton_transducer(t);
-    budget.charge(a_t.size() as u64)?;
+    ctx.budget.charge(a_t.size() as u64)?;
     Ok(RetentionArtifacts { a_t })
 }
 
@@ -65,13 +61,14 @@ pub fn try_compile_retention_artifacts(
 /// artifacts: a shortest text path of the schema passing through one of
 /// `labels` whose value `T` deletes, or `None` when `T` keeps every such
 /// value. The product and the antichain inclusion search both run under
-/// the caller's budget.
-pub fn try_deleted_text_under_with(
+/// the context's budget.
+pub fn deleted_text_under_with(
     schema: &SchemaArtifacts,
     retention: &RetentionArtifacts,
     labels: &[Symbol],
-    budget: &BudgetHandle,
+    ctx: StageCtx<'_>,
 ) -> Result<Option<Vec<PathSym>>, BudgetExceeded> {
+    let budget = ctx.budget;
     budget.charge(1)?;
     let through = through_labels(labels, &schema.path_alphabet);
     budget.charge(through.size() as u64)?;
@@ -83,21 +80,21 @@ pub fn try_deleted_text_under_with(
 /// `labels` whose value `t` deletes, returns that text path as a witness.
 /// `None` means `t` never deletes text under those labels, over `L(nta)`.
 ///
-/// Convenience wrapper compiling both artifact sides eagerly; the engine's
-/// `TextRetentionDecider` caches them instead.
+/// One-shot convenience running both stages under an unlimited budget;
+/// the engine's `TextRetentionDecider` caches the artifacts instead.
 pub fn deleted_text_under(t: &Transducer, nta: &Nta, labels: &[Symbol]) -> Option<Vec<PathSym>> {
-    let unlimited = BudgetHandle::unlimited();
-    let schema =
-        crate::decide::try_compile_schema_artifacts(nta, &unlimited).expect("unlimited budget");
-    let retention = compile_retention_artifacts(t);
-    try_deleted_text_under_with(&schema, &retention, labels, &unlimited).expect("unlimited budget")
+    StageCtx::unlimited(|ctx| {
+        let schema = compile_schema_artifacts(nta, ctx)?;
+        let retention = compile_retention_artifacts(t, ctx)?;
+        deleted_text_under_with(&schema, &retention, labels, ctx)
+    })
+    .expect("unlimited budget")
 }
 
 /// Whether `t` both is text-preserving over `L(nta)` and never deletes text
 /// under the given labels — the paper's combined "more flexible test".
 pub fn text_preserving_and_keeps(t: &Transducer, nta: &Nta, labels: &[Symbol]) -> bool {
-    crate::decide::is_text_preserving(t, nta).is_preserving()
-        && deleted_text_under(t, nta, labels).is_none()
+    is_text_preserving(t, nta).is_preserving() && deleted_text_under(t, nta, labels).is_none()
 }
 
 /// NFA accepting path words that pass through one of `labels`.
@@ -122,6 +119,7 @@ mod tests {
     use super::*;
     use crate::paths::path_automaton_nta;
     use crate::samples;
+    use tpx_obs::Tracer;
     use tpx_schema::samples::recipe_dtd;
     use tpx_trees::budget::{Budget, ExhaustReason};
     use tpx_trees::samples::recipe_alphabet;
@@ -162,26 +160,31 @@ mod tests {
         let al = recipe_alphabet();
         let nta = recipe_dtd(&al).to_nta();
         let t = samples::example_4_2(&al);
-        let unlimited = BudgetHandle::unlimited();
-        let schema = crate::decide::try_compile_schema_artifacts(&nta, &unlimited).unwrap();
-        let retention = compile_retention_artifacts(&t);
+        let (schema, retention) = StageCtx::unlimited(|ctx| {
+            let schema = compile_schema_artifacts(&nta, ctx).unwrap();
+            (schema, compile_retention_artifacts(&t, ctx).unwrap())
+        });
         for label in ["instructions", "ingredients", "comments"] {
             let labels = [al.sym(label)];
-            let staged =
-                try_deleted_text_under_with(&schema, &retention, &labels, &unlimited).unwrap();
+            let staged = StageCtx::unlimited(|ctx| {
+                deleted_text_under_with(&schema, &retention, &labels, ctx).unwrap()
+            });
             let eager = deleted_text_under(&t, &nta, &labels);
             assert_eq!(staged.is_some(), eager.is_some(), "{label}");
         }
         // Fuel is actually charged, and a zero budget fails fast.
+        let comments = [al.sym("comments")];
         let gen = Budget::default().with_fuel(1_000_000).start();
-        try_deleted_text_under_with(&schema, &retention, &[al.sym("comments")], &gen).unwrap();
+        let gen_ctx = StageCtx::new(&gen, Tracer::disabled_ref());
+        deleted_text_under_with(&schema, &retention, &comments, gen_ctx).unwrap();
         assert!(gen.fuel_spent() > 0);
         let z = Budget::default().with_fuel(0).start();
-        let err = try_deleted_text_under_with(&schema, &retention, &[al.sym("comments")], &z)
+        let z_ctx = StageCtx::new(&z, Tracer::disabled_ref());
+        let err = deleted_text_under_with(&schema, &retention, &comments, z_ctx)
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.reason, ExhaustReason::Fuel);
-        let err = try_compile_retention_artifacts(&t, &z)
+        let err = compile_retention_artifacts(&t, z_ctx)
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.reason, ExhaustReason::Fuel);

@@ -18,7 +18,9 @@
 //! * [`subschema`] — the regular language of counter-examples and the
 //!   maximal sub-schema on which `T` is text-preserving (paper conclusion);
 //! * [`extensions`] — the conclusion's stronger tests ("never deletes text
-//!   below a node labelled σ").
+//!   below a node labelled σ");
+//! * [`stage`] — the [`StageCtx`] (budget + tracer) every stage of the
+//!   top-down and DTL pipelines takes.
 
 pub mod conformance;
 pub mod decide;
@@ -26,22 +28,19 @@ pub mod extensions;
 pub mod paths;
 pub mod samples;
 pub mod semantic;
+pub mod stage;
 pub mod subschema;
 pub mod transducer;
 
 pub use conformance::{
-    compile_conformance_artifacts, conformance_witness, conforms_on, hedge_conforms,
-    output_conforms, try_compile_conformance_artifacts, try_conformance_witness_with,
-    ConformanceArtifacts,
+    compile_conformance_artifacts, conformance_witness, conformance_witness_with, conforms_on,
+    hedge_conforms, ConformanceArtifacts,
 };
 pub use decide::{
-    compile_copy_artifacts, compile_schema_artifacts, compile_transducer_artifacts,
-    copying_witness_with, is_text_preserving, is_text_preserving_with, rearranging_witness_with,
-    try_compile_copy_artifacts, try_compile_schema_artifacts, try_compile_transducer_artifacts,
-    try_compile_transducer_artifacts_traced, try_copying_witness_with,
-    try_is_text_preserving_traced, try_is_text_preserving_with, try_rearranging_witness_with,
-    CheckReport, CopyArtifacts, SchemaArtifacts, TransducerArtifacts,
+    compile_schema_artifacts, compile_transducer_artifacts, is_text_preserving,
+    is_text_preserving_with, CheckReport, CopyArtifacts, SchemaArtifacts, TransducerArtifacts,
 };
 pub use paths::{path_automaton_nta, path_automaton_transducer, PathSym};
+pub use stage::StageCtx;
 pub use subschema::{counterexample_language, maximal_subschema};
 pub use transducer::{RhsNode, TdState, Transducer, TransducerBuilder};

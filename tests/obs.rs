@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use textpres::engine::{
-    CheckOptions, Decider, Engine, Metrics, Task, TopdownDecider, Tracer, Verdict,
+    Budget, CheckOptions, Decider, DtlDecider, Engine, Metrics, OutputConformanceDecider,
+    SpanFields, Task, TextRetentionDecider, TopdownDecider, TraceEvent, Tracer, Verdict,
 };
 use textpres::prelude::*;
 use tpx_workload::transducers;
@@ -145,4 +146,130 @@ fn single_check_trace_has_one_span_per_reported_stage() {
         events.iter().filter(|e| e.is_exit()).count() * 2,
         events.len()
     );
+}
+
+#[test]
+fn every_stage_record_is_one_span_cold_and_warm() {
+    // One engine, generous fuel: a cold check and a warm re-check per
+    // decider. Over the comb schema (no text directly below the root) the
+    // root swapper rearranges without copying, so both `topdown/decide/*`
+    // sub-spans run.
+    let (alpha, schema) = tpx_workload::comb_schema(2);
+    let swapper = transducers::swapper_at_depth(&alpha, 2, 0);
+    let topdown = TopdownDecider::new(&swapper);
+    let retention = TextRetentionDecider::new(&swapper, alpha.symbols().collect());
+    let conformance = OutputConformanceDecider::new(&swapper, &schema);
+    let dtl_alpha = Alphabet::from_labels(["a", "b"]);
+    let dtl_schema = universal(&dtl_alpha);
+    let mut b = DtlBuilder::new(&dtl_alpha, "q0");
+    b.rule_simple("q0", "a", "a", "q0", "child");
+    b.rule_simple("q0", "b", "b", "q0", "child");
+    b.text_rule("q0");
+    let identity = b.finish();
+    let dtl = DtlDecider::new(&identity);
+
+    type Case<'a> = (&'a dyn Decider, &'a Nta, &'a [&'a str], &'a [&'a str]);
+    let cases: [Case; 4] = [
+        (
+            &topdown,
+            &schema,
+            &[
+                "topdown/schema",
+                "topdown/transducer/copying",
+                "topdown/transducer/rearranging",
+                "topdown/transducer",
+                "topdown/decide/copying",
+                "topdown/decide/rearranging",
+                "topdown/decide",
+            ],
+            &[
+                "topdown/schema",
+                "topdown/transducer",
+                "topdown/decide/copying",
+                "topdown/decide/rearranging",
+                "topdown/decide",
+            ],
+        ),
+        (
+            &retention,
+            &schema,
+            &[
+                "topdown/schema",
+                "topdown/retention/transducer",
+                "topdown/retention/decide",
+            ],
+            &[
+                "topdown/schema",
+                "topdown/retention/transducer",
+                "topdown/retention/decide",
+            ],
+        ),
+        (
+            &conformance,
+            &schema,
+            &["conformance/inverse", "conformance/decide"],
+            &["conformance/inverse", "conformance/decide"],
+        ),
+        (
+            &dtl,
+            &dtl_schema,
+            &[
+                "dtl/schema",
+                "dtl/counterexample/copying",
+                "dtl/counterexample/rearranging",
+                "dtl/counterexample",
+                "dtl/decide/product",
+                "dtl/decide/witness",
+                "dtl/decide",
+            ],
+            &[
+                "dtl/schema",
+                "dtl/counterexample",
+                "dtl/decide/product",
+                "dtl/decide/witness",
+                "dtl/decide",
+            ],
+        ),
+    ];
+
+    let tracer = Arc::new(Tracer::enabled());
+    let engine = Engine::new().with_tracer(tracer.clone());
+    let options = CheckOptions::with_budget(Budget::default().with_fuel(50_000_000));
+    for (decider, schema, cold, warm) in cases {
+        for (run, expected) in [("cold", cold), ("warm", warm)] {
+            let verdict = engine
+                .check_governed(decider, schema, &options)
+                .unwrap_or_else(|e| panic!("{} {run}: {e}", decider.name()));
+            let exits: Vec<(&str, SpanFields)> = tracer
+                .take_events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Exit { span, fields, .. } => Some((span, fields)),
+                    TraceEvent::Enter { .. } => None,
+                })
+                .collect();
+            let names: Vec<&str> = exits.iter().map(|(name, _)| *name).collect();
+            assert_eq!(names, expected, "{} {run}: span sequence", decider.name());
+            for s in &verdict.stats.stages {
+                let spans: Vec<&SpanFields> = exits
+                    .iter()
+                    .filter(|(name, _)| *name == s.stage)
+                    .map(|(_, fields)| fields)
+                    .collect();
+                assert_eq!(spans.len(), 1, "{run} stage {} has one span", s.stage);
+                let fields = spans[0];
+                assert_eq!(fields.fuel, s.fuel, "{run} stage {} fuel", s.stage);
+                assert!(s.fuel.is_some(), "{run} stage {} is governed", s.stage);
+                assert_eq!(
+                    fields.artifact_size, s.artifact_size,
+                    "{run} stage {} size",
+                    s.stage
+                );
+                assert_eq!(fields.cache_hit, s.cache_hit, "{run} stage {} hit", s.stage);
+                if run == "warm" && s.cache_hit.is_some() {
+                    assert_eq!(s.cache_hit, Some(true), "warm stage {} hits", s.stage);
+                }
+            }
+        }
+    }
 }

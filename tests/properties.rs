@@ -192,3 +192,33 @@ fn dtd_vs_nta_membership() {
         assert_eq!(dtd.validates(&tree), nta.accepts(&tree), "seed {seed}");
     }
 }
+
+/// `enumerate_schema_trees` hands out trees by non-decreasing node count,
+/// so its `limit` drops only the largest: at the degrade oracle's default
+/// bound (8 nodes, 2000 trees) every tree of at most 5 nodes is still
+/// there. An enumeration whose truncation order is not by size lost most
+/// of them (seed 5 of `random_dtd(6, _)` kept 14 of its 380).
+#[test]
+fn bounded_enumeration_truncates_largest_trees_first() {
+    use textpres::dtl::bounded::enumerate_schema_trees;
+    let key = |t: &Tree| format!("{:?}", t.as_hedge());
+    for seed in 0..10u64 {
+        let nta = tpx_workload::random_dtd(6, seed).nta();
+        let small = enumerate_schema_trees(&nta, 5, usize::MAX);
+        let bounded = enumerate_schema_trees(&nta, 8, 2000);
+        assert!(bounded.len() <= 2000, "seed {seed}");
+        let sizes: Vec<usize> = bounded.iter().map(|t| t.node_count()).collect();
+        assert!(
+            sizes.windows(2).all(|w| w[0] <= w[1]),
+            "seed {seed}: sizes {sizes:?} are not non-decreasing"
+        );
+        let kept: std::collections::HashSet<String> = bounded.iter().map(key).collect();
+        let lost = small.iter().filter(|t| !kept.contains(&key(t))).count();
+        assert_eq!(
+            lost,
+            0,
+            "seed {seed}: lost {lost} of {} small trees",
+            small.len()
+        );
+    }
+}
