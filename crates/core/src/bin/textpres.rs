@@ -34,8 +34,8 @@
 //!
 //! `subschema` prints a witness from the maximal
 //! sub-schema on which the transformation IS text-preserving. `batch`
-//! checks many transducer files against one schema on a work-stealing
-//! worker pool, sharing compiled schema artifacts across all of them;
+//! checks many transducer files against one schema on a pool of workers
+//! sharing one ready stack and the compiled schema artifacts;
 //! `--jobs 0` (the default) auto-detects the worker count from
 //! `std::thread::available_parallelism`. `fuzz` runs the
 //! differential checker (`tpx-diffcheck`): random schema/transducer pairs,
@@ -797,8 +797,8 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         print_stats(&engine, &verdicts);
         let b = engine.batch_stats();
         eprintln!(
-            "  scheduler: {} stage tasks + {} checks, {} steals",
-            b.stage_tasks, b.checks, b.steals
+            "  scheduler: {} stage tasks + {} checks",
+            b.stage_tasks, b.checks
         );
     }
     if !all_ok {

@@ -43,7 +43,7 @@ mod admission;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -51,7 +51,8 @@ use std::time::{Duration, Instant};
 use tpx_dtl::{DtlTransducer, XPathPatterns};
 use tpx_engine::{
     Budget, CheckOptions, Decider, DecisionError, DegradeBound, DtlDecider, Engine, Metrics,
-    Outcome, OutputConformanceDecider, Task, TextRetentionDecider, TopdownDecider, Tracer, Verdict,
+    Outcome, OutputConformanceDecider, Task, TextRetentionDecider, TopdownDecider, Tracer,
+    TwoGenMap, Verdict,
 };
 use tpx_topdown::Transducer;
 use tpx_treeauto::Nta;
@@ -68,9 +69,17 @@ use protocol::{
     VerdictSummary,
 };
 
-/// How often blocked reads and the accept loop wake up to poll the
-/// drain/stop flags.
+/// How often blocked reads and the signal watcher wake up to poll the
+/// drain/stop/signal flags.
 const POLL: Duration = Duration::from_millis(25);
+
+/// Named sources the registry holds (`register` frames); a new name beyond
+/// this answers `registry-full`.
+const REGISTRY_CAP: usize = 256;
+
+/// Compiled (analysis, sources) triples the parse memo holds, over its two
+/// generations.
+const MEMO_CAP: usize = 128;
 
 /// Server tuning knobs. [`ServeConfig::default`] is sized for tests and
 /// small deployments; the CLI maps `textpres serve` flags onto it.
@@ -101,10 +110,6 @@ pub struct ServeConfig {
     pub max_timeout: Duration,
     /// How long a drain may take before parked waiters are hard-failed.
     pub drain_deadline: Duration,
-    /// Named-source registry capacity (`register` frames).
-    pub registry_cap: usize,
-    /// Parse-memo capacity (compiled schema/transducer sources).
-    pub memo_cap: usize,
     /// Write a JSONL span trace here on exit.
     pub trace_out: Option<std::path::PathBuf>,
     /// Print the metrics table to stderr on exit.
@@ -124,8 +129,6 @@ impl Default for ServeConfig {
             max_fuel: None,
             max_timeout: Duration::from_secs(30),
             drain_deadline: Duration::from_secs(5),
-            registry_cap: 256,
-            memo_cap: 128,
             trace_out: None,
             metrics_dump: false,
         }
@@ -169,7 +172,7 @@ struct Shared {
     metrics: Arc<Metrics>,
     gate: Gate,
     registry: Mutex<HashMap<String, (SourceKind, Arc<String>)>>,
-    memo: Mutex<HashMap<u64, Arc<Prepared>>>,
+    memo: Mutex<TwoGenMap<u64, Arc<Prepared>>>,
     memo_hits: AtomicU64,
     served: AtomicU64,
     rejected: AtomicU64,
@@ -177,6 +180,9 @@ struct Shared {
     draining: AtomicBool,
     stopping: AtomicBool,
     drain_deadline_at: Mutex<Option<Instant>>,
+    /// Where a connection wakes the accept loop: the bound address, or
+    /// loopback on its port when bound to an unspecified address.
+    wake_addr: SocketAddr,
     started: Instant,
 }
 
@@ -194,10 +200,12 @@ impl Shared {
     }
 
     /// Begins the drain: no new work is admitted, budgets of anything
-    /// still racing in are clamped to the drain window.
+    /// still racing in are clamped to the drain window, and a connection
+    /// of our own wakes the accept loop, blocked in `accept`, to stop.
     fn begin_drain(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
             *lock(&self.drain_deadline_at) = Some(Instant::now() + self.cfg.drain_deadline);
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
         }
     }
 
@@ -252,23 +260,25 @@ impl Shared {
             }
         }
         let key = hasher.finish();
-        if let Some(p) = lock(&self.memo).get(&key) {
+        // A generation the lookup or the insert drops is freed after the
+        // memo lock is released.
+        let (hit, _dropped) = lock(&self.memo).get(&key);
+        if let Some(p) = hit {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(p));
+            return Ok(p);
         }
 
         // Parse outside the memo lock; two racing requests for the same
-        // sources may both compile, the second insert wins — the same
-        // "duplicate work beats a held lock" tradeoff the ArtifactCache
-        // shards make.
+        // sources may both compile, the second insert wins — duplicate
+        // work beats a held lock.
         //
         // A transducer source that sniffs as XSLT goes through the
         // frontend instead of the text-format parsers, compiled once per
         // (schema, stylesheet) pair into the engine's artifact cache
         // under the shared `xslt/compile` stage — the memo above only
         // shortcuts re-requests of the identical (analysis, sources)
-        // triple, the artifact survives memo resets and is shared across
-        // analyses. A DTL program (`Err` below) only answers
+        // triple, the artifact survives memo evictions and is shared
+        // across analyses. A DTL program (`Err` below) only answers
         // text-preservation.
         let (mut alpha, schema, t) = if tpx_xslt::is_stylesheet(&t_src) {
             let artifact =
@@ -330,13 +340,7 @@ impl Shared {
             schema,
             kind,
         });
-        let mut memo = lock(&self.memo);
-        if memo.len() >= self.cfg.memo_cap && !memo.contains_key(&key) {
-            // Same wholesale-reset policy as the ArtifactCache entry cap:
-            // dead simple, bounded, and a reset only costs re-parses.
-            memo.clear();
-        }
-        memo.insert(key, Arc::clone(&prepared));
+        let _dropped = lock(&self.memo).insert(key, Arc::clone(&prepared));
         Ok(prepared)
     }
 
@@ -482,7 +486,7 @@ impl Shared {
 
     fn handle_register(&self, req: &RegisterRequest) -> ResponseBody {
         let mut registry = lock(&self.registry);
-        if registry.len() >= self.cfg.registry_cap && !registry.contains_key(&req.name) {
+        if registry.len() >= REGISTRY_CAP && !registry.contains_key(&req.name) {
             return self.reject(ErrorInfo::new(
                 codes::REGISTRY_FULL,
                 format!("registry holds {} sources already", registry.len()),
@@ -625,16 +629,17 @@ mod signals {
     const SIGTERM: i32 = 15;
 
     extern "C" fn on_signal(_sig: i32) {
-        // Only an atomic store: the full drain runs on the accept loop's
-        // next poll tick, never in signal context.
+        // Only an atomic store: the full drain runs on the signal
+        // watcher's next tick, never in signal context.
         REQUESTED.store(true, Ordering::SeqCst);
     }
 
     extern "C" {
         // libc `signal(2)`, declared directly so the daemon stays
         // zero-external-dep. `signal` semantics (SA_RESTART implied on
-        // glibc) are fine here because the accept loop is nonblocking
-        // and every socket read has a timeout — nothing relies on EINTR.
+        // glibc) restart a blocked `accept`, which is why `Server::run`
+        // polls the flag from a watcher thread; every socket read has a
+        // timeout — nothing relies on EINTR.
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
 
@@ -705,13 +710,20 @@ impl Server {
             cfg.slots
         };
         let gate = Gate::new(slots, cfg.queue);
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
             engine,
             tracer,
             metrics,
             gate,
             registry: Mutex::new(HashMap::new()),
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(TwoGenMap::new(MEMO_CAP)),
             memo_hits: AtomicU64::new(0),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -719,6 +731,7 @@ impl Server {
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
             drain_deadline_at: Mutex::new(None),
+            wake_addr,
             started: Instant::now(),
             cfg,
         });
@@ -754,19 +767,32 @@ impl Server {
     /// the drain came from a signal, a `shutdown` frame, a
     /// [`ServeHandle`], an accept-loop error, or the drain-deadline
     /// backstop.
+    ///
+    /// The accept loop blocks in `accept`; beginning a drain wakes it with
+    /// a connection of its own. A signal restarts `accept` rather than
+    /// interrupting it, so a watcher thread turns the signal flag into a
+    /// drain.
     pub fn run(self) -> io::Result<ServeReport> {
         let Server {
             shared, listener, ..
         } = self;
-        listener.set_nonblocking(true)?;
+        let watcher = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                while !shared.draining() {
+                    if signals::REQUESTED.swap(false, Ordering::SeqCst) {
+                        shared.begin_drain();
+                    }
+                    std::thread::sleep(POLL);
+                }
+            })
+        };
         let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut accept_error = None;
         while !shared.draining() {
-            if signals::REQUESTED.swap(false, Ordering::SeqCst) {
-                shared.begin_drain();
-                break;
-            }
             match listener.accept() {
+                // The drain's wake-up, or a client racing it.
+                Ok(_) if shared.draining() => break,
                 Ok((stream, _)) => {
                     handles.retain(|h| !h.is_finished());
                     if handles.len() >= shared.cfg.max_connections {
@@ -790,14 +816,6 @@ impl Server {
                         handle_connection(&shared, stream);
                     }));
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    std::thread::sleep(POLL);
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     // A dead listener is fatal for new work but must not
@@ -820,10 +838,11 @@ impl Server {
             shared.gate.begin_hard_drain();
         }
         shared.stopping.store(true, Ordering::SeqCst);
-        for h in handles {
-            // Bounded: connection loops poll `stopping` every `POLL`,
-            // writes time out, and in-flight budgets are clamped to
-            // `max_timeout` (to the drain window, once draining).
+        for h in handles.into_iter().chain([watcher]) {
+            // Bounded: the watcher and the connection loops poll their
+            // flags every `POLL`, writes time out, and in-flight budgets
+            // are clamped to `max_timeout` (to the drain window, once
+            // draining).
             let _ = h.join();
         }
 

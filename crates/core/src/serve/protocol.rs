@@ -153,7 +153,7 @@ pub struct CheckRequest {
 }
 
 /// A batch of text-preservation checks of many transducers against one
-/// schema, run on the engine's work-stealing pool.
+/// schema, run as one engine batch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchRequest {
     /// The shared schema source.

@@ -1,4 +1,4 @@
-//! The content-addressed artifact cache, sharded for concurrency.
+//! The content-addressed artifact cache.
 //!
 //! Expensive pipeline intermediates (path automata, rearranging NTAs,
 //! MSO→NBTA compilations) are keyed by `(kind, content hash)`, where the
@@ -7,31 +7,32 @@
 //! address or an insertion counter) means two structurally equal schemas
 //! share one compilation, across threads and in any order.
 //!
-//! Concurrency: the key space is split over [`DEFAULT_SHARDS`] independent
-//! shards (a power of two, chosen by mixing the kind and key hashes), so
-//! two workers touching different artifacts almost never touch the same
-//! lock. Within a shard the map is behind an [`RwLock`] whose *read* lock
-//! is the hit fast path — concurrent readers of an already-built artifact
-//! share the lock, and the only writer section (inserting a fresh slot,
-//! applying the eviction bound) contains no user code. Each entry is a
-//! [`OnceLock`] slot, so builders run *outside* every lock and every
-//! artifact is compiled exactly once even when many workers race to it —
-//! the losers block on the slot and receive the winner's `Arc`. Artifacts
-//! are uniformly `Arc`-shared: a cache hit is a pointer clone, never a
-//! copy.
+//! Concurrency: one [`RwLock`] guards a [`TwoGenMap`] of slots. A hit in
+//! the map's newer generation takes only the *read* lock, so concurrent
+//! readers of built artifacts share it; the write lock is taken to insert
+//! a fresh slot or to move an older-generation hit forward, and its
+//! critical section contains no user code. Each slot is a
+//! `Mutex<Option<Arc<…>>>`: the builder runs under the slot's own lock,
+//! outside the map lock and inside `catch_unwind`, so every artifact is
+//! compiled exactly once even when many workers race to it — the losers
+//! wait on the slot and receive the winner's `Arc`, and a failed or
+//! panicking build leaves the slot empty for the next caller to retry.
+//! Artifacts are uniformly `Arc`-shared: a cache hit is a pointer clone,
+//! never a copy.
 //!
-//! Stats (hits/misses/evictions) are shard-local atomics, aggregated on
-//! demand by [`ArtifactCache::stats`]; the eviction bound is likewise
-//! enforced per shard, so a full shard resets without stalling its
-//! siblings.
+//! The entry count is bounded by the map's two generations; an evicted
+//! generation is dropped after the map lock is released, and its size is
+//! counted in [`CacheStats::evictions`].
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-type Slot = OnceLock<Arc<dyn Any + Send + Sync>>;
+use crate::twogen::TwoGenMap;
+
+/// One artifact: empty until its first successful build.
+type Slot = Mutex<Option<Arc<dyn Any + Send + Sync>>>;
 
 /// A recoverable cache failure. Generic over the builder's own error type
 /// `E` (use [`std::convert::Infallible`] for infallible builders).
@@ -44,8 +45,8 @@ pub enum CacheError<E> {
         kind: &'static str,
     },
     /// The builder closure panicked. Only its own slot is affected — the
-    /// slot is left uninitialized so a later lookup retries the build, and
-    /// the shard (and the rest of the cache) stays fully serviceable.
+    /// slot is left empty so a later lookup retries the build, and the
+    /// rest of the cache stays fully serviceable.
     BuilderPanicked {
         /// The stage whose builder panicked.
         kind: &'static str,
@@ -84,51 +85,18 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Sentinel panic payload used to tunnel a builder `Err` out of
-/// `OnceLock::get_or_init` (which only supports infallible init). The
-/// actual error rides in a side channel; the payload just marks the unwind
-/// as ours.
-struct BuildAbort;
-
-thread_local! {
-    /// Set while this thread raises a [`BuildAbort`], so the panic hook
-    /// stays silent for the sentinel (it is control flow, not a failure).
-    static RAISING_BUILD_ABORT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Wraps the current panic hook (once per process) with one that ignores
-/// [`BuildAbort`] sentinel unwinds; every other panic reaches the previous
-/// hook unchanged.
-fn install_abort_quiet_hook() {
-    static INSTALL: std::sync::Once = std::sync::Once::new();
-    INSTALL.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !RAISING_BUILD_ABORT.with(|f| f.get()) {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// Raises the [`BuildAbort`] sentinel without tripping the panic hook.
-fn raise_build_abort() -> ! {
-    RAISING_BUILD_ABORT.with(|f| f.set(true));
-    std::panic::panic_any(BuildAbort);
-}
-
-/// Hit/miss/entry/eviction counters of an [`ArtifactCache`] (or one of its
-/// shards), taken at one instant.
+/// Hit/miss/entry/eviction counters of an [`ArtifactCache`], taken at one
+/// instant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found an already-built artifact.
     pub hits: u64,
     /// Lookups that had to build the artifact (at most one per distinct
-    /// `(kind, key)` pair per shard generation).
+    /// `(kind, key)` pair while it stays cached).
     pub misses: u64,
     /// Distinct artifacts currently held.
     pub entries: usize,
-    /// Entries dropped by capacity resets (see
+    /// Entries dropped with an evicted generation (see
     /// [`ArtifactCache::with_max_entries`]).
     pub evictions: u64,
 }
@@ -140,67 +108,28 @@ impl CacheStats {
     }
 }
 
-/// One shard: an independent map plus its local counters. Counters are
-/// atomics (never touched under the map lock); the map's write lock guards
-/// only slot insertion and the coarse capacity reset.
-struct Shard {
-    map: RwLock<HashMap<(&'static str, u64), Arc<Slot>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            map: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .map
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A concurrent, content-hash-keyed memo table for pipeline artifacts.
 ///
 /// Artifacts are stored type-erased (`Arc<dyn Any>`); the `kind` string
 /// names the pipeline stage and fixes the concrete type, so a key collision
 /// across stages is impossible by construction.
 ///
-/// The entry count is bounded (default [`DEFAULT_MAX_ENTRIES`]), enforced
-/// shard-locally: inserting a fresh key into a full shard performs a
-/// *coarse reset* — that shard's map is dropped and its next generation
-/// starts empty, without touching any other shard. Long batch or fuzz runs
-/// over many distinct schemas/transducers therefore hold at most one
-/// generation of artifacts per shard instead of growing without bound; the
-/// dropped entries are surfaced as [`CacheStats::evictions`].
+/// The entry count is bounded (default [`DEFAULT_MAX_ENTRIES`]) by a
+/// [`TwoGenMap`]: when the newer half fills, the older half is evicted,
+/// except for the entries read since the last turnover, which moved
+/// forward. Long batch, fuzz or serve runs over many distinct
+/// schemas/transducers therefore keep what they keep reading instead of
+/// growing without bound; the dropped entries are surfaced as
+/// [`CacheStats::evictions`].
 pub struct ArtifactCache {
-    shards: Box<[Shard]>,
-    /// Per-shard entry bound (`0` = unbounded). The global bound passed to
-    /// [`ArtifactCache::with_max_entries`] is split evenly, so the sum of
-    /// shard capacities never exceeds it.
-    per_shard_cap: usize,
+    map: RwLock<TwoGenMap<(&'static str, u64), Arc<Slot>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 /// Default entry-count bound of [`ArtifactCache::new`].
-pub const DEFAULT_MAX_ENTRIES: usize = 4096;
-
-/// Default shard count of [`ArtifactCache::new`] (a power of two; shrunk
-/// when the entry bound is smaller, so the bound stays meaningful).
-pub const DEFAULT_SHARDS: usize = 16;
+pub const DEFAULT_MAX_ENTRIES: usize = 2048;
 
 impl Default for ArtifactCache {
     fn default() -> Self {
@@ -209,88 +138,53 @@ impl Default for ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// An empty cache holding at most [`DEFAULT_MAX_ENTRIES`] artifacts
-    /// over [`DEFAULT_SHARDS`] shards.
+    /// An empty cache holding at most [`DEFAULT_MAX_ENTRIES`] artifacts.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// An empty cache holding at most `max_entries` artifacts
-    /// (`0` = unbounded), sharded [`DEFAULT_SHARDS`] ways.
+    /// (`0` = unbounded), in two generations of `max_entries / 2`.
     pub fn with_max_entries(max_entries: usize) -> Self {
-        Self::with_shards(max_entries, DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with an explicit shard count. `shards` is rounded up
-    /// to a power of two, then halved until it does not exceed a non-zero
-    /// `max_entries` — a bound of 2 over 16 shards would otherwise give
-    /// every shard capacity 0 and the bound would mean nothing.
-    pub fn with_shards(max_entries: usize, shards: usize) -> Self {
-        let mut n = shards.next_power_of_two().max(1);
-        if max_entries > 0 {
-            while n > max_entries {
-                n /= 2;
-            }
-        }
         ArtifactCache {
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            per_shard_cap: if max_entries == 0 { 0 } else { max_entries / n },
+            map: RwLock::new(TwoGenMap::new(max_entries)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The number of shards the key space is split over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard `(kind, key)` lives in: FNV-1a over the kind name mixed
-    /// with the (already well-distributed) content hash, finished with a
-    /// Fibonacci multiply so low-entropy keys still spread.
-    fn shard_index(&self, kind: &'static str, key: u64) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in kind.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        h ^= key;
-        h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) as usize) & (self.shards.len() - 1)
     }
 
     /// Fetches (or creates) the slot for `(kind, key)`.
     ///
-    /// The hot path is a shard *read* lock: when the key is present the
-    /// slot `Arc` is cloned and returned without any exclusive locking.
-    /// Only a genuinely fresh key upgrades to the shard write lock, which
-    /// applies the per-shard capacity reset first. Poisoned locks are
-    /// recovered rather than propagated: the map is only mutated in the
-    /// two short critical sections below (and [`ArtifactCache::clear`]),
-    /// which contain no user code and are atomic with respect to panics,
-    /// so a poisoned lock still guards a consistent map — builder panics
-    /// happen strictly outside the locks and poison only their own
-    /// `OnceLock` attempt.
-    fn slot(&self, kind: &'static str, key: u64) -> (&Shard, Arc<Slot>) {
-        let shard = &self.shards[self.shard_index(kind, key)];
+    /// The hot path is the map's *read* lock: when the key is in the newer
+    /// generation the slot `Arc` is cloned without any exclusive locking.
+    /// Otherwise the write lock moves an older hit forward or inserts a
+    /// fresh slot; a generation that drops out is freed after the lock is
+    /// released. Poisoned locks are recovered rather than propagated: the
+    /// critical sections contain no user code, so a poisoned lock still
+    /// guards a consistent map.
+    fn slot(&self, kind: &'static str, key: u64) -> Arc<Slot> {
+        if let Some(slot) = self
+            .map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .peek(&(kind, key))
         {
-            let map = shard.map.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(slot) = map.get(&(kind, key)) {
-                return (shard, Arc::clone(slot));
+            return Arc::clone(slot);
+        }
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
+        let (slot, dropped) = match map.get(&(kind, key)) {
+            (Some(slot), dropped) => (slot, dropped),
+            (None, _) => {
+                let slot = Arc::new(Slot::default());
+                let dropped = map.insert((kind, key), Arc::clone(&slot));
+                (slot, dropped)
             }
-        }
-        let mut map = shard.map.write().unwrap_or_else(PoisonError::into_inner);
-        if self.per_shard_cap > 0
-            && map.len() >= self.per_shard_cap
-            && !map.contains_key(&(kind, key))
-        {
-            // Coarse per-shard reset: drop the shard's generation rather
-            // than tracking recency per entry. In-flight builders keep
-            // their slots alive through their own `Arc`s and finish
-            // unaffected; sibling shards are untouched.
-            shard
-                .evictions
-                .fetch_add(map.len() as u64, Ordering::Relaxed);
-            map.clear();
-        }
-        (shard, Arc::clone(map.entry((kind, key)).or_default()))
+        };
+        drop(map);
+        self.evictions
+            .fetch_add(dropped.len() as u64, Ordering::Relaxed);
+        slot
     }
 
     /// Returns the artifact for `(kind, key)`, building it with `build` on
@@ -317,11 +211,12 @@ impl ArtifactCache {
     /// every failure mode — builder error, builder panic, type mismatch —
     /// comes back as a recoverable [`CacheError`] instead of unwinding.
     ///
-    /// Only *successful* builds are memoized: on `Err` the slot stays
-    /// uninitialized (`OnceLock` guarantees a panicked or aborted
-    /// initializer leaves the cell empty and lets the next caller retry),
-    /// so a budget-starved build can be retried with a larger budget and a
-    /// panicking build poisons only its own slot, never the shard.
+    /// Only *successful* builds are memoized: on `Err` or a panic the slot
+    /// stays empty and the next caller (possibly one that was waiting on
+    /// the slot) builds it again, so a budget-starved build can be retried
+    /// with a larger budget and a panicking build affects only its own
+    /// slot. The panic is caught inside the slot's lock, which therefore
+    /// never poisons.
     pub fn try_get_or_build<T, E, F>(
         &self,
         kind: &'static str,
@@ -333,91 +228,58 @@ impl ArtifactCache {
         E: Send + 'static,
         F: FnOnce() -> Result<T, E>,
     {
-        install_abort_quiet_hook();
-        let (shard, slot) = self.slot(kind, key);
-        let mut built = false;
-        let mut failed: Option<E> = None;
-        // `OnceLock::get_or_init` wants an infallible initializer; a
-        // builder `Err` is tunnelled out as a `BuildAbort` unwind (error in
-        // the `failed` side channel) and caught right here. Unwind safety:
-        // `built`/`failed` are plain locals written before the panic, and
-        // the cache itself is only touched through atomics and the
-        // poison-recovering locks.
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            slot.get_or_init(|| {
-                built = true;
-                match build() {
-                    Ok(v) => Arc::new(v) as Arc<dyn Any + Send + Sync>,
-                    Err(e) => {
-                        failed = Some(e);
-                        raise_build_abort();
-                    }
-                }
-            })
-            .clone()
-        }));
-        RAISING_BUILD_ABORT.with(|f| f.set(false));
-        let erased = match unwound {
-            Ok(a) => a,
-            Err(payload) => {
-                return Err(match failed {
-                    Some(e) => CacheError::Build(e),
-                    None if payload.is::<BuildAbort>() => {
-                        // Another thread's aborted build propagated to us
-                        // through the OnceLock: treat it as a retryable
-                        // panic without a message.
-                        CacheError::BuilderPanicked {
-                            kind,
-                            message: "racing builder aborted".into(),
+        let slot = self.slot(kind, key);
+        let mut value = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = value.is_some();
+        let erased = match &*value {
+            Some(artifact) => Arc::clone(artifact),
+            None => {
+                let artifact: Arc<dyn Any + Send + Sync> =
+                    match catch_unwind(AssertUnwindSafe(build)) {
+                        Ok(Ok(v)) => Arc::new(v),
+                        Ok(Err(e)) => return Err(CacheError::Build(e)),
+                        Err(payload) => {
+                            return Err(CacheError::BuilderPanicked {
+                                kind,
+                                message: panic_message(payload.as_ref()),
+                            })
                         }
-                    }
-                    None => CacheError::BuilderPanicked {
-                        kind,
-                        message: panic_message(payload.as_ref()),
-                    },
-                });
+                    };
+                *value = Some(Arc::clone(&artifact));
+                artifact
             }
         };
-        if built {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        }
+        drop(value);
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         let arc = erased
             .downcast::<T>()
             .map_err(|_| CacheError::TypeMismatch { kind })?;
-        Ok((arc, !built))
+        Ok((arc, hit))
     }
 
-    /// An aggregated snapshot of the per-shard hit/miss/entry/eviction
-    /// counters.
+    /// A snapshot of the hit/miss/entry/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in self.shards.iter().map(Shard::stats) {
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-            total.evictions += s.evictions;
-        }
-        total
-    }
-
-    /// Per-shard counter snapshots, in shard order (for observability and
-    /// the concurrency tests; most callers want [`ArtifactCache::stats`]).
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(Shard::stats).collect()
-    }
-
-    /// Drops every cached artifact in every shard (counters keep
-    /// accumulating).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self
                 .map
-                .write()
+                .read()
                 .unwrap_or_else(PoisonError::into_inner)
-                .clear();
+                .len(),
+            evictions: self.evictions.load(Ordering::Relaxed),
         }
+    }
+
+    /// Drops every cached artifact (counters keep accumulating).
+    pub fn clear(&self) {
+        let cleared = self
+            .map
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        drop(cleared);
     }
 }
 
@@ -454,28 +316,28 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_capacity_reset_is_exact() {
-        // One shard of capacity 2 reproduces the pre-sharding coarse-reset
-        // semantics exactly: two full resets over five distinct keys.
-        let cache = ArtifactCache::with_shards(2, 1);
-        assert_eq!(cache.shard_count(), 1);
+    fn generation_turnover_is_exact() {
+        // A bound of 2 is two generations of one entry: five distinct keys
+        // turn the map over four times and drop the older entry in three.
+        let cache = ArtifactCache::with_max_entries(2);
         for key in 0..5u64 {
             let _ = cache.get_or_build("t", key, move || key);
         }
         let stats = cache.stats();
         assert!(stats.entries <= 2, "bound violated: {}", stats.entries);
-        assert_eq!(stats.evictions, 4); // two coarse resets of a full shard
+        assert_eq!(stats.evictions, 3);
         assert_eq!(stats.misses, 5);
+        assert_eq!(stats.evictions + stats.entries as u64, stats.misses);
         // A re-requested evicted key is rebuilt, not resurrected.
         let (_, hit) = cache.get_or_build("t", 0, || 0u64);
         assert!(!hit);
     }
 
     #[test]
-    fn sharded_capacity_bound_holds_globally() {
-        // The global bound is split across shards; however keys distribute,
-        // the cache never holds more than `max_entries` artifacts and every
-        // built entry is either still present or counted as evicted.
+    fn capacity_bound_holds_over_many_turnovers() {
+        // However many generations turn over, the cache never holds more
+        // than `max_entries` artifacts and every built entry is either
+        // still present or counted as evicted.
         let cache = ArtifactCache::with_max_entries(8);
         for key in 0..100u64 {
             let _ = cache.get_or_build("t", key, move || key);
@@ -487,31 +349,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_aggregate_to_totals() {
-        let cache = ArtifactCache::new();
+    fn stats_count_every_lookup_across_turnovers() {
+        let cache = ArtifactCache::with_max_entries(8);
         for key in 0..50u64 {
             let _ = cache.get_or_build("t", key, move || key);
             let _ = cache.get_or_build("t", key, move || key); // hit
         }
-        let per_shard = cache.shard_stats();
-        assert_eq!(per_shard.len(), cache.shard_count());
-        let total = cache.stats();
-        assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), total.hits);
-        assert_eq!(
-            per_shard.iter().map(|s| s.misses).sum::<u64>(),
-            total.misses
-        );
-        assert_eq!(
-            per_shard.iter().map(|s| s.entries).sum::<usize>(),
-            total.entries
-        );
-        assert_eq!(total.hits, 50);
-        assert_eq!(total.misses, 50);
-        // 50 distinct keys over 16 shards: the mix actually spreads.
-        assert!(
-            per_shard.iter().filter(|s| s.entries > 0).count() > 1,
-            "all 50 keys landed in one shard"
-        );
+        let stats = cache.stats();
+        assert_eq!(stats.hits, 50);
+        assert_eq!(stats.misses, 50);
+        assert_eq!(stats.lookups(), 100);
+        assert!(stats.entries <= 8, "bound violated: {}", stats.entries);
+        assert_eq!(stats.evictions + stats.entries as u64, stats.misses);
     }
 
     #[test]
@@ -580,11 +429,10 @@ mod tests {
 
     /// Regression (poisoning recovery): a panicking build must poison only
     /// its own slot. The same key rebuilds successfully afterwards, other
-    /// keys in the same shard are unaffected, and the eviction accounting
-    /// stays exact.
+    /// keys are unaffected, and the eviction accounting stays exact.
     #[test]
     fn panicking_build_poisons_only_its_slot_and_rebuilds() {
-        let cache = ArtifactCache::with_shards(4, 1); // everything in one shard
+        let cache = ArtifactCache::with_max_entries(4);
         let err = cache
             .try_get_or_build::<usize, std::convert::Infallible, _>("t", 0, || panic!("boom"))
             .unwrap_err();
@@ -593,8 +441,7 @@ mod tests {
         };
         assert_eq!(kind, "t");
         assert!(message.contains("boom"), "{message}");
-        // The shard is not wedged: a *different* key in the same shard
-        // builds immediately...
+        // The cache is not wedged: a *different* key builds immediately...
         let (v, hit) = cache.get_or_build("t", 1, || 10usize);
         assert!(!hit);
         assert_eq!(*v, 10);

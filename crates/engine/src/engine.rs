@@ -28,7 +28,8 @@ pub struct BatchStats {
     pub stage_tasks: u64,
     /// Check (finalize) tasks executed.
     pub checks: u64,
-    /// Work-stealing events across all batches (0 on single-worker runs).
+    /// Always 0: workers share one ready stack and never steal. Kept so
+    /// readers of the field still compile.
     pub steals: u64,
 }
 
@@ -122,7 +123,7 @@ impl Engine {
 
     /// Cumulative scheduler counters over every batch this engine has run:
     /// how many batches, how many deduplicated artifact-stage tasks were
-    /// scheduled, how many checks, and how many times a worker stole work.
+    /// scheduled, and how many checks.
     pub fn batch_stats(&self) -> BatchStats {
         *self.batch.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -146,9 +147,10 @@ impl Engine {
     ///
     /// Unwind safety at the cache boundary: the cache mutates state only
     /// through atomics, poison-recovering locks whose critical sections
-    /// contain no user code, and `OnceLock` slots that stay uninitialized
-    /// when a builder unwinds — so the shared cache is observably
-    /// consistent (and fully serviceable) after a caught panic.
+    /// contain no user code, and slots whose builders run inside their own
+    /// `catch_unwind` and stay empty when a builder unwinds — so the shared
+    /// cache is observably consistent (and fully serviceable) after a
+    /// caught panic.
     pub fn check_governed(
         &self,
         decider: &dyn Decider,
@@ -240,10 +242,10 @@ impl Engine {
     /// check becomes a finalize task that starts once its stages are
     /// built. Two checks sharing a schema therefore contend on exactly
     /// one compilation — which runs once, as one task — instead of racing
-    /// whole pipelines. The graph is drained by the work-stealing
-    /// executor in [`crate::scheduler`]; with `jobs = 1` it runs inline
-    /// in deterministic FIFO order, so verdicts *and* aggregated metrics
-    /// are identical whatever the worker count.
+    /// whole pipelines. The graph is drained by the shared-stack executor
+    /// in `scheduler.rs`; with `jobs = 1` it runs on the calling thread in
+    /// a deterministic order, and verdicts *and* aggregated metrics are
+    /// identical whatever the worker count.
     ///
     /// # Panics
     ///
@@ -273,8 +275,7 @@ impl Engine {
     /// the engine's after the batch, so batch counters never contend on
     /// one lock mid-run. Scheduler-level counts land in
     /// [`Engine::batch_stats`] and, when metrics are enabled, as
-    /// `engine/batch/*` metrics (steal counts as a histogram, since they
-    /// are scheduling-dependent).
+    /// `engine/batch/*` counters.
     pub fn check_many_governed(
         &self,
         tasks: &[Task<'_>],
@@ -282,9 +283,9 @@ impl Engine {
     ) -> Vec<Result<Verdict, DecisionError>> {
         // Clamp to the host parallelism: extra workers on a saturated
         // machine cannot overlap anything, they only add context-switch
-        // and steal-scan cost per node (measured ~2x wall time for an
-        // 8-worker batch on a 1-CPU container). The requested `jobs` is
-        // still an upper bound — a 1-task batch stays inline, etc.
+        // cost per node (measured ~2x wall time for an 8-worker batch on a
+        // 1-CPU container). The requested `jobs` is still an upper bound —
+        // a 1-task batch runs on the caller, etc.
         let host = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
         let jobs = self.jobs().min(tasks.len().max(1)).min(host);
 
@@ -331,7 +332,7 @@ impl Engine {
             })
             .collect();
 
-        let stats = execute(&graph, jobs, |node, worker| {
+        execute(&graph, jobs, |node, worker| {
             let metrics = &worker_metrics[worker];
             if node < n_stages {
                 let (stage, owner) = stage_nodes[node];
@@ -357,19 +358,16 @@ impl Engine {
             self.metrics.merge_from(m);
         }
         // Batch-level counters are scheduling-independent (deterministic
-        // across worker counts); steals are not, so they go in a histogram
-        // — histogram values are explicitly timing/scheduling-dependent.
+        // across worker counts).
         self.metrics.incr("engine/batches");
         self.metrics
             .add("engine/batch/stage_tasks", n_stages as u64);
         self.metrics.add("engine/batch/checks", tasks.len() as u64);
-        self.metrics.observe("engine/batch/steals", stats.steals);
         {
             let mut b = self.batch.lock().unwrap_or_else(PoisonError::into_inner);
             b.batches += 1;
             b.stage_tasks += n_stages as u64;
             b.checks += tasks.len() as u64;
-            b.steals += stats.steals;
         }
 
         slots

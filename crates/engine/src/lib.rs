@@ -17,10 +17,11 @@
 //! [`Engine::check_many`] turns a batch of `(decider, schema)` tasks into a
 //! *stage graph*: the distinct artifacts the batch needs are deduplicated
 //! up front and prefetched as their own tasks, with each check scheduled
-//! once its artifacts exist. A work-stealing `std::thread::scope` pool
-//! ([`scheduler`]) drains the graph over the sharded cache; each cache
-//! entry still builds exactly once, and a single-worker run is fully
-//! deterministic.
+//! once its artifacts exist. Workers sharing one ready stack drain the
+//! graph over the cache; each cache entry still builds exactly once, and a
+//! single-worker run is fully deterministic. The cache and `textpres
+//! serve`'s parse memo bound their memory with one eviction policy, the
+//! two-generation [`TwoGenMap`].
 //!
 //! ```
 //! use tpx_engine::{Engine, TopdownDecider};
@@ -42,7 +43,8 @@ pub mod conformance;
 pub mod decider;
 mod engine;
 pub mod retention;
-pub mod scheduler;
+mod scheduler;
+mod twogen;
 pub mod verdict;
 
 pub use analysis::{
@@ -58,7 +60,7 @@ pub use conformance::OutputConformanceDecider;
 pub use decider::{Decider, DtlDecider, StageKey, Stages, TopdownDecider};
 pub use engine::{BatchStats, Engine, Task};
 pub use retention::TextRetentionDecider;
-pub use scheduler::{RunStats, StageGraph};
 pub use tpx_obs::{Metrics, MetricsSnapshot, Span, SpanFields, TraceEvent, Tracer};
 pub use tpx_topdown::StageCtx;
+pub use twogen::TwoGenMap;
 pub use verdict::{CheckStats, Outcome, StageReport, Verdict};

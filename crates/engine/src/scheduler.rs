@@ -1,4 +1,4 @@
-//! A zero-dependency work-stealing executor for stage-task graphs.
+//! The batch executor: drains a stage-task graph on up to N workers.
 //!
 //! The unit of scheduling is a *node* of a [`StageGraph`]: an opaque index
 //! whose work is supplied by the caller as a closure. Edges express
@@ -7,53 +7,35 @@
 //! its own task and start a check the moment its inputs exist, instead of
 //! fanning out whole checks that serialize on shared compilations.
 //!
-//! Scheduling discipline:
+//! All workers share one ready stack behind one `Mutex`, and idle workers
+//! wait on one `Condvar`. A worker pops the most recently freed node, so
+//! a check usually runs right after the artifact that freed it, while its
+//! inputs are warm. Completing a node pushes its newly ready dependents
+//! and wakes one waiting sibling per dependent beyond the one the
+//! completing worker will pop itself. Pushes and wakes happen under the
+//! stack's lock, so no wakeup is lost and no worker polls. The drain ends
+//! when the stack is empty and no node is running.
 //!
-//! * **One worker** (or one node): the graph runs *inline* on the calling
-//!   thread in deterministic FIFO order — roots in index order, then
-//!   dependents in the order their last dependency completed. No threads,
-//!   no locks on the hot path, zero steals. This is also why a `jobs = 1`
-//!   batch is bit-for-bit reproducible.
-//! * **Many workers**: a `std::thread::scope` pool where each worker owns
-//!   a local deque. Completing a node pushes its newly-ready dependents
-//!   onto the *completing* worker's deque (locality: a check usually runs
-//!   right after the artifacts it needs), workers pop their own deque from
-//!   the back (LIFO, cache-warm) and steal from the *front* of a sibling's
-//!   deque when empty (FIFO, oldest work first — the classic Chase–Lev
-//!   orientation, here with a mutexed `VecDeque` per worker since the
-//!   queues are tiny and contention is on artifacts, not queue ends).
-//!
-//! Idle workers park on a condvar with a 1 ms timeout backstop, so a
-//! missed wakeup (pushes and notifies are deliberately not atomic with
-//! each other) costs at most a millisecond, not a deadlock. A completing
-//! worker wakes at most *one* sibling, and only when its deque holds more
-//! work than it will pop itself on the next iteration — broadcasting on
-//! every node made an over-subscribed single-core batch pay a context
-//! switch per task for wakeups whose work the notifier immediately
-//! reclaimed. Termination is a single atomic countdown of unfinished
-//! nodes (that wake *is* broadcast, so the pool exits promptly).
-//!
-//! The executor makes no fairness or ordering promises beyond the
-//! dependency edges; callers that need deterministic *output* must index
-//! results by node (as [`crate::Engine::check_many`] does) rather than
-//! rely on completion order.
+//! With one worker the loop runs on the calling thread, in a deterministic
+//! order; with more, it runs on `std::thread::scope` threads. The executor
+//! makes no ordering promises beyond the dependency edges; callers that
+//! need deterministic *output* must index results by node (as
+//! [`crate::Engine::check_many`] does) rather than rely on completion
+//! order.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
 
 /// A dependency graph over nodes `0..n`. Node `d` in `dependents[n]` means
 /// `d` cannot start until `n` completes; `pending[d]` counts how many such
 /// prerequisites `d` still has (nodes with `pending == 0` are roots).
-pub struct StageGraph {
+pub(crate) struct StageGraph {
     dependents: Vec<Vec<usize>>,
     pending: Vec<usize>,
 }
 
 impl StageGraph {
     /// A graph of `n` independent nodes (no edges).
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         StageGraph {
             dependents: vec![Vec::new(); n],
             pending: vec![0; n],
@@ -61,185 +43,99 @@ impl StageGraph {
     }
 
     /// Declares that `dependent` must wait for `prerequisite`.
-    pub fn add_edge(&mut self, prerequisite: usize, dependent: usize) {
+    pub(crate) fn add_edge(&mut self, prerequisite: usize, dependent: usize) {
         self.dependents[prerequisite].push(dependent);
         self.pending[dependent] += 1;
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 }
 
-/// What the executor observed while draining a graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Nodes a worker took from a sibling's deque instead of its own
-    /// (always 0 for inline runs).
-    pub steals: u64,
+/// The executor's shared state, all behind one lock.
+struct Ready {
+    /// Nodes whose prerequisites have all completed, most recent last.
+    stack: Vec<usize>,
+    /// Prerequisites each node still waits for.
+    pending: Vec<usize>,
+    /// Nodes popped but not yet completed.
+    running: usize,
 }
 
 /// Drains `graph` by calling `run(node, worker)` exactly once per node,
 /// never before the node's prerequisites completed, on up to `workers`
-/// threads (clamped to the node count; `<= 1` runs inline on the caller).
+/// workers (clamped to the node count; one worker runs on the caller).
 ///
-/// `run` must not panic — a panicking node unwinds its worker thread and
-/// aborts the scope. The engine wraps every node body in `catch_unwind`
-/// before it gets here.
-pub fn execute<F>(graph: &StageGraph, workers: usize, run: F) -> RunStats
+/// `run` must not panic — a panicking node unwinds its worker and aborts
+/// the drain. The engine wraps every node body in `catch_unwind` before it
+/// gets here.
+pub(crate) fn execute<F>(graph: &StageGraph, workers: usize, run: F)
 where
     F: Fn(usize, usize) + Sync,
 {
-    let n = graph.len();
-    if n == 0 {
-        return RunStats::default();
-    }
-    let workers = workers.max(1).min(n);
-    if workers == 1 {
-        return execute_inline(graph, run);
-    }
-    execute_stealing(graph, workers, run)
-}
-
-/// Deterministic single-threaded drain: FIFO over ready nodes.
-fn execute_inline<F: Fn(usize, usize)>(graph: &StageGraph, run: F) -> RunStats {
-    let mut pending = graph.pending.clone();
-    let mut ready: VecDeque<usize> = (0..graph.len()).filter(|&i| pending[i] == 0).collect();
-    let mut done = 0usize;
-    while let Some(node) = ready.pop_front() {
-        run(node, 0);
-        done += 1;
-        for &d in &graph.dependents[node] {
-            pending[d] -= 1;
-            if pending[d] == 0 {
-                ready.push_back(d);
+    let workers = workers.max(1).min(graph.len());
+    let ready = Mutex::new(Ready {
+        stack: (0..graph.len())
+            .filter(|&i| graph.pending[i] == 0)
+            .collect(),
+        pending: graph.pending.clone(),
+        running: 0,
+    });
+    let wake = Condvar::new();
+    let lock = || ready.lock().unwrap_or_else(PoisonError::into_inner);
+    let work = |worker: usize| {
+        let mut state = lock();
+        loop {
+            let Some(node) = state.stack.pop() else {
+                if state.running == 0 {
+                    // Nothing ready and nothing running: the drain is done.
+                    wake.notify_all();
+                    return;
+                }
+                state = wake.wait(state).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            state.running += 1;
+            drop(state);
+            run(node, worker);
+            state = lock();
+            state.running -= 1;
+            let before = state.stack.len();
+            for &d in &graph.dependents[node] {
+                state.pending[d] -= 1;
+                if state.pending[d] == 0 {
+                    state.stack.push(d);
+                }
+            }
+            // This worker pops one freed node itself; wake a sibling for
+            // each of the others.
+            for _ in 1..state.stack.len() - before {
+                wake.notify_one();
             }
         }
+    };
+    if workers <= 1 {
+        work(0);
+    } else {
+        std::thread::scope(|scope| {
+            for worker in 0..workers {
+                let work = &work;
+                scope.spawn(move || work(worker));
+            }
+        });
     }
-    debug_assert_eq!(done, graph.len(), "stage graph has a dependency cycle");
-    RunStats { steals: 0 }
-}
-
-/// The parallel drain: per-worker deques, steal-from-front on empty.
-fn execute_stealing<F>(graph: &StageGraph, workers: usize, run: F) -> RunStats
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let pending: Vec<AtomicUsize> = graph.pending.iter().map(|&p| AtomicUsize::new(p)).collect();
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    // Seed the roots round-robin so every worker starts with work.
-    for (i, node) in (0..graph.len())
-        .filter(|&i| graph.pending[i] == 0)
-        .enumerate()
-    {
-        queues[i % workers]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(node);
-    }
-    let remaining = AtomicUsize::new(graph.len());
-    let steals = AtomicU64::new(0);
-    let idle = (Mutex::new(()), Condvar::new());
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let pending = &pending;
-            let queues = &queues;
-            let remaining = &remaining;
-            let steals = &steals;
-            let idle = &idle;
-            let run = &run;
-            scope.spawn(move || {
-                let mut local_steals = 0u64;
-                loop {
-                    // Own deque first (LIFO: freshest, cache-warm work)...
-                    let mut node = queues[me]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .pop_back();
-                    // ...then steal the *oldest* entry from a sibling.
-                    if node.is_none() {
-                        for k in 1..workers {
-                            let victim = (me + k) % workers;
-                            node = queues[victim]
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .pop_front();
-                            if node.is_some() {
-                                local_steals += 1;
-                                break;
-                            }
-                        }
-                    }
-                    let Some(node) = node else {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        // Park briefly; the timeout backstops any missed
-                        // notify between the queue scan and this wait.
-                        let guard = idle.0.lock().unwrap_or_else(PoisonError::into_inner);
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        let _ = idle
-                            .1
-                            .wait_timeout(guard, Duration::from_millis(1))
-                            .map_err(|_| ())
-                            .map(|(g, _)| drop(g));
-                        continue;
-                    };
-                    run(node, me);
-                    // Freed dependents go onto our own deque under one
-                    // lock; `surplus` is what we *cannot* run next
-                    // iteration ourselves (we pop one back immediately).
-                    let surplus = {
-                        let mut q = queues[me].lock().unwrap_or_else(PoisonError::into_inner);
-                        for &d in &graph.dependents[node] {
-                            if pending[d].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                q.push_back(d);
-                            }
-                        }
-                        q.len().saturating_sub(1)
-                    };
-                    if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Everything is done: wake every parked worker so
-                        // the pool can exit.
-                        idle.1.notify_all();
-                    } else if surplus > 0 {
-                        // Only wake a sibling when there is work beyond
-                        // what we consume ourselves — waking the whole
-                        // pool per node turns a single-core run into a
-                        // context-switch storm (the freed child is popped
-                        // LIFO by *this* worker on the very next loop).
-                        // A lost race here costs at most the 1 ms parking
-                        // backstop, never a deadlock.
-                        idle.1.notify_one();
-                    }
-                }
-                steals.fetch_add(local_steals, Ordering::Relaxed);
-            });
-        }
-    });
-    debug_assert_eq!(
-        remaining.load(Ordering::Acquire),
-        0,
+    debug_assert!(
+        lock().pending.iter().all(|&p| p == 0),
         "stage graph has a dependency cycle"
     );
-    RunStats {
-        steals: steals.load(Ordering::Relaxed),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// Builds the bipartite shape the engine uses: `n_stages` roots, each
     /// blocking some of the `n_checks` sinks.
@@ -252,19 +148,19 @@ mod tests {
     }
 
     #[test]
-    fn inline_runs_roots_then_dependents_in_fifo_order() {
+    fn one_worker_runs_on_the_caller_most_recently_freed_first() {
         let g = bipartite(2, &[(0, 0), (1, 0), (1, 1)], 2);
+        let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
-        let stats = execute(&g, 1, |node, worker| {
+        execute(&g, 1, |node, worker| {
             assert_eq!(worker, 0);
+            assert_eq!(std::thread::current().id(), caller);
             order.lock().unwrap().push(node);
         });
-        assert_eq!(stats.steals, 0);
-        // Roots 0,1 in index order; check 3 (node 3 = check 1) becomes
-        // ready when node 1 completes, before check 2's second dep clears…
-        // actually node 2 needs both roots: ready order is 0, 1, then 2, 3
-        // — FIFO over readiness.
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
+        // The roots are stacked in index order, so stage 1 runs first. It
+        // frees check 1 (node 3), which runs next; check 0 (node 2) also
+        // waits for stage 0, the last root, and runs after it.
+        assert_eq!(*order.lock().unwrap(), vec![1, 3, 0, 2]);
     }
 
     #[test]
@@ -307,36 +203,44 @@ mod tests {
     }
 
     #[test]
+    fn waiting_workers_wake_for_freed_nodes_and_all_return() {
+        // A chain keeps all but one worker waiting; its last link frees a
+        // fan that the waiting workers must be woken to share. The drain
+        // returns only once every worker has seen the end.
+        let (chain, fan) = (16, 32);
+        let mut g = StageGraph::new(chain + fan);
+        for i in 1..chain {
+            g.add_edge(i - 1, i);
+        }
+        for f in 0..fan {
+            g.add_edge(chain - 1, chain + f);
+        }
+        let ran: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
+        execute(&g, 4, |node, _| {
+            if (1..chain).contains(&node) {
+                assert_eq!(ran[node - 1].load(Ordering::SeqCst), 1, "chain order");
+            }
+            if node >= chain {
+                assert_eq!(ran[chain - 1].load(Ordering::SeqCst), 1, "fan order");
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+            ran[node].fetch_add(1, Ordering::SeqCst);
+        });
+        assert!(ran.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
     fn empty_graph_is_a_noop() {
         let g = StageGraph::new(0);
-        assert!(g.is_empty());
-        let stats = execute(&g, 4, |_, _| panic!("no nodes to run"));
-        assert_eq!(stats, RunStats::default());
+        execute(&g, 4, |_, _| panic!("no nodes to run"));
     }
 
     #[test]
     fn workers_clamp_to_node_count() {
-        // 1 node + 8 workers must take the inline path (worker index 0).
+        // 1 node + 8 workers must run on the caller (worker index 0).
         let g = StageGraph::new(1);
         execute(&g, 8, |node, worker| {
             assert_eq!((node, worker), (0, 0));
         });
-    }
-
-    #[test]
-    fn imbalanced_roots_get_stolen() {
-        // Seeding is round-robin, but make one worker's nodes slow so the
-        // fast workers drain the rest: with 64 independent slow-ish nodes
-        // on 4 workers the steal path is exercised with high probability;
-        // the assertion is only on completion, steals are best-effort.
-        let g = StageGraph::new(64);
-        let count = AtomicUsize::new(0);
-        let stats = execute(&g, 4, |_, _| {
-            count.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_micros(100));
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 64);
-        // Not asserting steals > 0: a 1-core host may serialize the pool.
-        let _ = stats.steals;
     }
 }

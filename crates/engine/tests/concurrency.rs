@@ -1,7 +1,7 @@
-//! Concurrency contracts of the sharded [`ArtifactCache`] and the batch
+//! Concurrency contracts of the [`ArtifactCache`] and the batch
 //! scheduler: exactly-once builds under heavy seeded contention, exact
-//! hit/miss accounting, the per-shard eviction bound, and determinism of
-//! `check_many` across worker counts.
+//! hit/miss accounting, the two-generation eviction bound, and determinism
+//! of `check_many` across worker counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,13 +71,6 @@ fn stress_unbounded_builds_each_key_exactly_once() {
     assert_eq!(stats.lookups(), total_ops);
     assert_eq!(stats.entries, DISTINCT_KEYS as usize);
     assert_eq!(stats.evictions, 0);
-    // Per-shard counters aggregate exactly to the totals.
-    let per_shard = cache.shard_stats();
-    assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
-    assert_eq!(
-        per_shard.iter().map(|s| s.misses).sum::<u64>(),
-        stats.misses
-    );
 }
 
 /// The same seeded stress against a *bounded* cache: the entry bound holds
@@ -126,6 +119,39 @@ fn stress_bounded_cache_keeps_eviction_invariants() {
         "each key built at least once"
     );
     // Conservation: everything ever built is now resident or was evicted.
+    assert_eq!(stats.evictions + stats.entries as u64, stats.misses);
+}
+
+/// A key read between inserts of never-seen keys stays cached however far
+/// the inserts run past the bound: a hit in the older generation moves it
+/// to the newer one, so it is never part of an evicted generation. The
+/// never-seen keys themselves are evicted, and the bound holds throughout.
+#[test]
+fn a_key_read_between_cold_inserts_is_built_exactly_once() {
+    const MAX_ENTRIES: usize = 32;
+    const HOT: u64 = u64::MAX;
+    let cache = ArtifactCache::with_max_entries(MAX_ENTRIES);
+    let hot_builds = AtomicU64::new(0);
+    let read_hot = || {
+        let (v, _) = cache.get_or_build("stress", HOT, || {
+            hot_builds.fetch_add(1, Ordering::SeqCst);
+            HOT
+        });
+        assert_eq!(*v, HOT);
+    };
+    read_hot();
+    for key in 0..(10 * MAX_ENTRIES as u64) {
+        let _ = cache.get_or_build("stress", key, move || key);
+        read_hot();
+        assert!(cache.stats().entries <= MAX_ENTRIES, "entry bound violated");
+    }
+    assert_eq!(
+        hot_builds.load(Ordering::SeqCst),
+        1,
+        "the hot key was rebuilt"
+    );
+    let stats = cache.stats();
+    assert!(stats.evictions > 0, "the cold inserts ran past the bound");
     assert_eq!(stats.evictions + stats.entries as u64, stats.misses);
 }
 

@@ -170,7 +170,7 @@ fn batch_mixed_exits_1_and_reports_each() {
     // The schema artifact is shared: compiled once, hit once.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("[cache hit]"), "{stderr}");
-    // --stats surfaces the scheduler's stage-task/steal counters.
+    // --stats surfaces the scheduler's stage-task/check counters.
     assert!(stderr.contains("scheduler:"), "{stderr}");
     assert!(stderr.contains("stage tasks"), "{stderr}");
 }

@@ -97,8 +97,7 @@ fn batch_tracing_is_deterministic_across_worker_counts() {
         // Counters are deterministic too: the scheduler prefetches each
         // distinct artifact exactly once before the checks that need it,
         // so hit/miss totals — and every other counter — agree. (Duration
-        // and steal histograms are timing/scheduling-dependent and
-        // deliberately not compared.)
+        // histograms are timing-dependent and deliberately not compared.)
         assert_eq!(
             metrics_seq.snapshot().counters,
             metrics_par.snapshot().counters,

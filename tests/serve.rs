@@ -435,6 +435,69 @@ fn registered_sources_serve_refs_and_feed_the_memo() {
     assert_eq!(report.served, 3);
 }
 
+/// The `memo_hits` counter of a `stats` frame.
+fn memo_hits(c: &mut Client) -> u64 {
+    c.roundtrip("{\"type\":\"stats\"}")
+        .get("serve")
+        .and_then(|s| s.get("memo_hits"))
+        .and_then(|n| n.as_u64())
+        .expect("stats carry serve.memo_hits")
+}
+
+#[test]
+fn a_hot_pair_read_between_cold_writes_keeps_hitting_the_memo() {
+    let (addr, _handle, join) = start(|_| {});
+    let mut c = Client::connect(addr);
+    for (name, kind, text) in [("s", "schema", SCHEMA), ("t", "transducer", GOOD)] {
+        let resp = c.roundtrip(&format!(
+            "{{\"type\":\"register\",\"name\":\"{name}\",\"kind\":\"{kind}\",\"text\":{}}}",
+            quote(text)
+        ));
+        assert_eq!(resp.get("ok").and_then(|b| b.as_bool()), Some(true));
+    }
+    let hot = "{\"type\":\"check\",\"schema_ref\":\"s\",\"transducer_ref\":\"t\"}";
+    assert_eq!(verdict(&c.roundtrip(hot)), Some("pass"));
+    let mut hits = memo_hits(&mut c);
+    // More never-seen sources than the memo holds: each differs from every
+    // other in its trailing blank lines only, so it is a memo miss.
+    for i in 1..=130 {
+        let cold = format!("{SCHEMA}{}", "\n".repeat(i));
+        assert_eq!(
+            verdict(&c.roundtrip(&check_frame(&cold, GOOD, ""))),
+            Some("pass")
+        );
+        assert_eq!(verdict(&c.roundtrip(hot)), Some("pass"));
+        let now = memo_hits(&mut c);
+        assert_eq!(
+            now,
+            hits + 1,
+            "hot read after cold write {i} missed the memo"
+        );
+        hits = now;
+    }
+    shutdown_and_join(&mut c, join);
+}
+
+#[test]
+fn the_registry_refuses_a_new_name_when_full_but_takes_known_ones() {
+    let (addr, _handle, join) = start(|_| {});
+    let mut c = Client::connect(addr);
+    let register = |c: &mut Client, name: &str| {
+        c.roundtrip(&format!(
+            "{{\"type\":\"register\",\"name\":\"{name}\",\"kind\":\"schema\",\"text\":{}}}",
+            quote(SCHEMA)
+        ))
+    };
+    for i in 0..256 {
+        let resp = register(&mut c, &format!("s{i}"));
+        assert_eq!(resp.get("ok").and_then(|b| b.as_bool()), Some(true), "{i}");
+    }
+    assert_eq!(error_code(&register(&mut c, "s256")), Some("registry-full"));
+    let again = register(&mut c, "s0");
+    assert_eq!(again.get("ok").and_then(|b| b.as_bool()), Some(true));
+    shutdown_and_join(&mut c, join);
+}
+
 #[test]
 fn batch_frames_answer_every_item_in_order() {
     let (addr, _handle, join) = start(|_| {});
