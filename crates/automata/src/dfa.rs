@@ -1,5 +1,5 @@
-//! Deterministic finite automata: subset construction, complement,
-//! minimization and equivalence testing.
+//! Deterministic finite automata: subset construction, complement and
+//! equivalence testing.
 //!
 //! DFAs are always *complete* relative to an explicit alphabet (a dead sink
 //! is materialized by the subset construction), which makes complementation
@@ -8,6 +8,7 @@
 use crate::nfa::{Nfa, StateId};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::Hash;
+use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 
 /// A complete deterministic finite automaton over symbols of type `A`.
 ///
@@ -21,67 +22,21 @@ pub struct Dfa<A> {
     finals: Vec<bool>,
 }
 
-impl<A: Clone + Eq + Hash> Dfa<A> {
-    /// Subset construction from an NFA, relative to `alphabet`.
-    ///
+impl<A: Clone + Eq + Hash> Nfa<A> {
+    /// Subset construction relative to `alphabet`: a DFA complete over it.
     /// Symbols not in `alphabet` are assumed never to occur in inputs; NFA
-    /// transitions on them are ignored.
-    pub fn from_nfa(nfa: &Nfa<A>, alphabet: &[A]) -> Dfa<A> {
-        let sym_index: HashMap<&A, usize> =
-            alphabet.iter().enumerate().map(|(i, a)| (a, i)).collect();
-        let start: BTreeSet<StateId> = nfa.initial_states().iter().copied().collect();
-        let mut ids: HashMap<BTreeSet<StateId>, u32> = HashMap::new();
-        let mut queue = VecDeque::new();
-        let mut trans: Vec<Vec<u32>> = Vec::new();
-        let mut finals: Vec<bool> = Vec::new();
-        ids.insert(start.clone(), 0);
-        queue.push_back(start);
-        while let Some(set) = queue.pop_front() {
-            let id = ids[&set] as usize;
-            if trans.len() <= id {
-                trans.resize(id + 1, Vec::new());
-                finals.resize(id + 1, false);
-            }
-            finals[id] = set.iter().any(|&q| nfa.is_final(q));
-            let mut row = vec![0u32; alphabet.len()];
-            // Successor sets per alphabet symbol.
-            let mut succ: Vec<BTreeSet<StateId>> = vec![BTreeSet::new(); alphabet.len()];
-            for &q in &set {
-                for (a, r) in nfa.transitions_from(q) {
-                    if let Some(&i) = sym_index.get(a) {
-                        succ[i].insert(*r);
-                    }
-                }
-            }
-            for (i, s) in succ.into_iter().enumerate() {
-                let next = ids.len() as u32;
-                let next_id = *ids.entry(s.clone()).or_insert_with(|| {
-                    queue.push_back(s);
-                    next
-                });
-                row[i] = next_id;
-            }
-            trans[id] = row;
-        }
-        Dfa {
-            alphabet: alphabet.to_vec(),
-            trans,
-            finals,
-        }
-    }
-
-    /// Budgeted [`Self::from_nfa`]: charges one fuel unit per macro-state
-    /// and per macro-transition, so an exponential subset construction
-    /// exhausts its budget instead of the host.
-    pub fn try_from_nfa(
-        nfa: &Nfa<A>,
+    /// transitions on them are ignored. Charges one fuel unit per
+    /// macro-state and per macro-transition, so an exponential subset
+    /// construction exhausts its budget instead of the host.
+    pub fn determinize(
+        &self,
         alphabet: &[A],
-        budget: &tpx_trees::budget::BudgetHandle,
-    ) -> Result<Dfa<A>, tpx_trees::budget::BudgetExceeded> {
+        budget: &BudgetHandle,
+    ) -> Result<Dfa<A>, BudgetExceeded> {
         budget.charge(1)?;
         let sym_index: HashMap<&A, usize> =
             alphabet.iter().enumerate().map(|(i, a)| (a, i)).collect();
-        let start: BTreeSet<StateId> = nfa.initial_states().iter().copied().collect();
+        let start: BTreeSet<StateId> = self.initial_states().iter().copied().collect();
         let mut ids: HashMap<BTreeSet<StateId>, u32> = HashMap::new();
         let mut queue = VecDeque::new();
         let mut trans: Vec<Vec<u32>> = Vec::new();
@@ -95,11 +50,12 @@ impl<A: Clone + Eq + Hash> Dfa<A> {
                 trans.resize(id + 1, Vec::new());
                 finals.resize(id + 1, false);
             }
-            finals[id] = set.iter().any(|&q| nfa.is_final(q));
+            finals[id] = set.iter().any(|&q| self.is_final(q));
             let mut row = vec![0u32; alphabet.len()];
+            // Successor sets per alphabet symbol.
             let mut succ: Vec<BTreeSet<StateId>> = vec![BTreeSet::new(); alphabet.len()];
             for &q in &set {
-                for (a, r) in nfa.transitions_from(q) {
+                for (a, r) in self.transitions_from(q) {
                     if let Some(&i) = sym_index.get(a) {
                         succ[i].insert(*r);
                     }
@@ -122,7 +78,9 @@ impl<A: Clone + Eq + Hash> Dfa<A> {
             finals,
         })
     }
+}
 
+impl<A: Clone + Eq + Hash> Dfa<A> {
     /// The alphabet this DFA is complete over.
     pub fn alphabet(&self) -> &[A] {
         &self.alphabet
@@ -198,81 +156,6 @@ impl<A: Clone + Eq + Hash> Dfa<A> {
         true
     }
 
-    /// Moore's partition-refinement minimization. The result accepts the
-    /// same language with the minimum number of states (unreachable states
-    /// dropped first).
-    pub fn minimize(&self) -> Dfa<A> {
-        // Restrict to reachable states.
-        let mut reach: Vec<Option<u32>> = vec![None; self.state_count()];
-        let mut order = Vec::new();
-        let mut stack = vec![0u32];
-        reach[0] = Some(0);
-        order.push(0u32);
-        while let Some(q) = stack.pop() {
-            for &r in &self.trans[q as usize] {
-                if reach[r as usize].is_none() {
-                    reach[r as usize] = Some(order.len() as u32);
-                    order.push(r);
-                    stack.push(r);
-                }
-            }
-        }
-        let n = order.len();
-        let trans: Vec<Vec<u32>> = order
-            .iter()
-            .map(|&q| {
-                self.trans[q as usize]
-                    .iter()
-                    .map(|&r| reach[r as usize].unwrap())
-                    .collect()
-            })
-            .collect();
-        let finals: Vec<bool> = order.iter().map(|&q| self.finals[q as usize]).collect();
-
-        // Partition refinement.
-        let mut class: Vec<u32> = finals.iter().map(|&f| u32::from(f)).collect();
-        loop {
-            let mut sig_ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
-            let mut next: Vec<u32> = Vec::with_capacity(n);
-            for q in 0..n {
-                let sig: Vec<u32> = trans[q].iter().map(|&r| class[r as usize]).collect();
-                let fresh = sig_ids.len() as u32;
-                let id = *sig_ids.entry((class[q], sig)).or_insert(fresh);
-                next.push(id);
-            }
-            if next == class {
-                break;
-            }
-            class = next;
-        }
-        let n_classes = class.iter().copied().max().map_or(0, |m| m as usize + 1);
-        // Renumber so the initial state's class is 0.
-        let mut rename: Vec<Option<u32>> = vec![None; n_classes];
-        rename[class[0] as usize] = Some(0);
-        let mut fresh = 1u32;
-        for &cq in class.iter().take(n) {
-            let c = cq as usize;
-            if rename[c].is_none() {
-                rename[c] = Some(fresh);
-                fresh += 1;
-            }
-        }
-        let mut min_trans = vec![vec![0u32; self.alphabet.len()]; n_classes];
-        let mut min_finals = vec![false; n_classes];
-        for q in 0..n {
-            let c = rename[class[q] as usize].unwrap() as usize;
-            min_finals[c] = finals[q];
-            for (i, &r) in trans[q].iter().enumerate() {
-                min_trans[c][i] = rename[class[r as usize] as usize].unwrap();
-            }
-        }
-        Dfa {
-            alphabet: self.alphabet.clone(),
-            trans: min_trans,
-            finals: min_finals,
-        }
-    }
-
     /// Language equivalence with `other` (must share the same alphabet,
     /// order included).
     pub fn equivalent(&self, other: &Dfa<A>) -> bool {
@@ -322,7 +205,7 @@ mod tests {
         n.add_transition(q0, 'a', q0);
         n.add_transition(q0, 'b', q0);
         n.add_transition(q0, 'a', q1);
-        let d = n.determinize(&ab());
+        let d = n.determinize(&ab(), &BudgetHandle::unlimited()).unwrap();
         for w in ["a", "ba", "aa", "bbba"] {
             assert!(d.accepts(&lit(w)), "{w}");
             assert!(n.accepts(&lit(w)), "{w}");
@@ -335,7 +218,7 @@ mod tests {
     #[test]
     fn complement_flips_membership() {
         let n = Nfa::word("ab".chars());
-        let d = n.determinize(&ab());
+        let d = n.determinize(&ab(), &BudgetHandle::unlimited()).unwrap();
         let c = d.complement();
         assert!(d.accepts(&lit("ab")));
         assert!(!c.accepts(&lit("ab")));
@@ -347,55 +230,46 @@ mod tests {
     #[test]
     fn complement_rejects_out_of_alphabet() {
         let n = Nfa::word("a".chars());
-        let c = n.determinize(&ab()).complement();
+        let c = n
+            .determinize(&ab(), &BudgetHandle::unlimited())
+            .unwrap()
+            .complement();
         // 'z' is outside the alphabet: membership is simply false, by contract.
         assert!(!c.accepts(&lit("z")));
     }
 
     #[test]
-    fn minimize_collapses_equivalent_states() {
-        // (a|b)(a|b) — even naive subset DFA has redundant structure when
-        // built from a bloated NFA union.
-        let x = Nfa::word("aa".chars())
-            .union(&Nfa::word("ab".chars()))
-            .union(&Nfa::word("ba".chars()))
-            .union(&Nfa::word("bb".chars()));
-        let d = x.determinize(&ab());
-        let m = d.minimize();
-        assert!(m.state_count() <= d.state_count());
-        assert_eq!(m.state_count(), 4); // q0, q1, accept, sink
-        for w in ["aa", "ab", "ba", "bb"] {
-            assert!(m.accepts(&lit(w)));
-        }
-        for w in ["", "a", "aaa"] {
-            assert!(!m.accepts(&lit(w)));
-        }
-        assert!(m.equivalent(&d));
-    }
-
-    #[test]
     fn equivalence_distinguishes() {
-        let a = Nfa::word("a".chars()).determinize(&ab());
-        let b = Nfa::word("b".chars()).determinize(&ab());
+        let a = Nfa::word("a".chars())
+            .determinize(&ab(), &BudgetHandle::unlimited())
+            .unwrap();
+        let b = Nfa::word("b".chars())
+            .determinize(&ab(), &BudgetHandle::unlimited())
+            .unwrap();
         let a2 = Nfa::word("a".chars())
             .union(&Nfa::<char>::new())
-            .determinize(&ab());
+            .determinize(&ab(), &BudgetHandle::unlimited())
+            .unwrap();
         assert!(!a.equivalent(&b));
         assert!(a.equivalent(&a2));
     }
 
     #[test]
     fn empty_language_detected() {
-        let d = Nfa::<char>::new().determinize(&ab());
+        let d = Nfa::<char>::new()
+            .determinize(&ab(), &BudgetHandle::unlimited())
+            .unwrap();
         assert!(d.is_empty());
-        let e = Nfa::<char>::epsilon().determinize(&ab());
+        let e = Nfa::<char>::epsilon()
+            .determinize(&ab(), &BudgetHandle::unlimited())
+            .unwrap();
         assert!(!e.is_empty());
     }
 
     #[test]
     fn to_nfa_round_trip() {
         let n = Nfa::word("ab".chars()).star();
-        let d = n.determinize(&ab());
+        let d = n.determinize(&ab(), &BudgetHandle::unlimited()).unwrap();
         let back = d.to_nfa();
         for w in ["", "ab", "abab", "a", "ba"] {
             assert_eq!(n.accepts(&lit(w)), back.accepts(&lit(w)), "{w}");
@@ -437,20 +311,16 @@ mod tests {
             fn determinization_agrees_with_nfa(nfa in arb_nfa(),
                                                words in proptest::collection::vec(
                                                    proptest::collection::vec(prop_oneof![Just('a'), Just('b')], 0..6), 0..10)) {
-                let d = nfa.determinize(&['a', 'b']);
-                let m = d.minimize();
+                let d = nfa.determinize(&['a', 'b'], &BudgetHandle::unlimited()).unwrap();
                 for w in &words {
-                    let expect = nfa.accepts(w);
-                    prop_assert_eq!(d.accepts(w), expect);
-                    prop_assert_eq!(m.accepts(w), expect);
+                    prop_assert_eq!(d.accepts(w), nfa.accepts(w));
                 }
-                prop_assert!(m.equivalent(&d));
             }
 
             #[test]
             fn complement_is_involutive_and_disjoint(nfa in arb_nfa(),
                                                      w in proptest::collection::vec(prop_oneof![Just('a'), Just('b')], 0..6)) {
-                let d = nfa.determinize(&['a', 'b']);
+                let d = nfa.determinize(&['a', 'b'], &BudgetHandle::unlimited()).unwrap();
                 let c = d.complement();
                 prop_assert_ne!(d.accepts(&w), c.accepts(&w));
                 prop_assert!(c.complement().equivalent(&d));
@@ -459,7 +329,7 @@ mod tests {
             #[test]
             fn product_ops_match_boolean_semantics(n1 in arb_nfa(), n2 in arb_nfa(),
                                                    w in proptest::collection::vec(prop_oneof![Just('a'), Just('b')], 0..6)) {
-                let i = n1.intersect(&n2);
+                let i = n1.intersect(&n2, &BudgetHandle::unlimited()).unwrap();
                 let u = n1.union(&n2);
                 prop_assert_eq!(i.accepts(&w), n1.accepts(&w) && n2.accepts(&w));
                 prop_assert_eq!(u.accepts(&w), n1.accepts(&w) || n2.accepts(&w));

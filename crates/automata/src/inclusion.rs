@@ -1,9 +1,8 @@
 //! Lazy, antichain-pruned decision procedures on word NFAs.
 //!
 //! The eager route decides `L(A) ⊆ L(B)` by determinizing `B`,
-//! complementing, and intersecting — the word-level twin of the NBTA
-//! construction that DESIGN.md §13 replaced with the tree-level antichain
-//! layer. The procedures here never build the subset automaton. They
+//! complementing, and intersecting. The procedures here never build the
+//! subset automaton. They
 //! explore, on the fly and forward from the initial states, only the
 //! *reachable* portion of the product of `A` with the subset automaton of
 //! `B`: pairs `(p, S)` where `p` is an `A`-state reached by some word `w`
@@ -11,7 +10,8 @@
 //! `p` final in `A` and `S ∩ F_B = ∅` is a counterexample, and a
 //! predecessor chain decodes the concrete word the moment one is interned.
 //!
-//! The same two properties that make the tree layer fast apply verbatim:
+//! Two properties make this fast in practice (the antichain idea of the
+//! inclusion literature, see DESIGN.md §13):
 //!
 //! * **Reachability**: most of the `2^{|Q_B|}` subset space is never
 //!   reached by any word, and the exploration simply never visits it.
@@ -66,34 +66,21 @@ fn decode<A: Clone>(pairs: &[Pair<A>], mut id: usize) -> Vec<A> {
 
 impl<A: Clone + Eq + Hash> Nfa<A> {
     /// Whether `L(self) ⊆ L(other)` — decided lazily, without ever
-    /// determinizing `other`.
-    pub fn included_in(&self, other: &Nfa<A>) -> bool {
-        self.try_included_in(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::included_in`]: charges one fuel unit per explored
-    /// pair and per macro-step.
-    pub fn try_included_in(
+    /// determinizing `other`. Charges one fuel unit per explored pair and
+    /// per macro-step.
+    pub fn included_in(
         &self,
         other: &Nfa<A>,
         budget: &BudgetHandle,
     ) -> Result<bool, BudgetExceeded> {
-        Ok(self.try_inclusion_counterexample(other, budget)?.is_none())
+        Ok(self.inclusion_counterexample(other, budget)?.is_none())
     }
 
     /// A shortest word in `L(self) \ L(other)`, or `None` when
-    /// `L(self) ⊆ L(other)`.
-    pub fn inclusion_counterexample(&self, other: &Nfa<A>) -> Option<Vec<A>> {
-        self.try_inclusion_counterexample(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::inclusion_counterexample`]. Explores `(p, S)`
-    /// pairs breadth-first, prunes with a per-state antichain of
-    /// ⊆-minimal macro-states, and early-exits with a decoded word at the
-    /// first rejecting pair.
-    pub fn try_inclusion_counterexample(
+    /// `L(self) ⊆ L(other)`. Explores `(p, S)` pairs breadth-first, prunes
+    /// with a per-state antichain of ⊆-minimal macro-states, and
+    /// early-exits with a decoded word at the first rejecting pair.
+    pub fn inclusion_counterexample(
         &self,
         other: &Nfa<A>,
         budget: &BudgetHandle,
@@ -210,61 +197,6 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
         }
         Ok(None)
     }
-
-    /// Budgeted [`Nfa::intersect`]: charges one fuel unit per product
-    /// state and per product transition, so a blowing-up product exhausts
-    /// its budget instead of the host.
-    pub fn try_intersect(
-        &self,
-        other: &Nfa<A>,
-        budget: &BudgetHandle,
-    ) -> Result<Nfa<A>, BudgetExceeded> {
-        budget.charge(1)?;
-        let mut out = Nfa::new();
-        let mut ids: HashMap<(StateId, StateId), StateId> = HashMap::new();
-        let mut stack = Vec::new();
-        for &p in self.initial_states() {
-            for &q in other.initial_states() {
-                budget.charge(1)?;
-                let id = *ids.entry((p, q)).or_insert_with(|| {
-                    stack.push((p, q));
-                    out.add_state()
-                });
-                out.set_initial(id);
-            }
-        }
-        while let Some((p, q)) = stack.pop() {
-            let id = ids[&(p, q)];
-            out.set_final(id, self.is_final(p) && other.is_final(q));
-            for (a, p2) in self.transitions_from(p) {
-                for (b, q2) in other.transitions_from(q) {
-                    if a == b {
-                        budget.charge(1)?;
-                        let next = *ids.entry((*p2, *q2)).or_insert_with(|| {
-                            stack.push((*p2, *q2));
-                            out.add_state()
-                        });
-                        out.add_transition(id, a.clone(), next);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Budgeted [`Nfa::determinize`]: the subset construction, charging
-    /// one fuel unit per macro-state and per macro-transition. Kept for
-    /// the derived operations that genuinely need the determinized
-    /// automaton as an object; inclusion/emptiness queries should use
-    /// [`Self::try_included_in`] instead and never pay for the subset
-    /// space.
-    pub fn try_determinize(
-        &self,
-        alphabet: &[A],
-        budget: &BudgetHandle,
-    ) -> Result<crate::dfa::Dfa<A>, BudgetExceeded> {
-        crate::dfa::Dfa::try_from_nfa(self, alphabet, budget)
-    }
 }
 
 #[cfg(test)]
@@ -303,22 +235,27 @@ mod tests {
     fn inclusion_verdicts() {
         let a = ends_in_a();
         let u = universal();
-        assert!(a.included_in(&u));
-        assert!(!u.included_in(&a));
-        assert!(a.included_in(&a));
-        assert!(u.included_in(&u));
+        let b = BudgetHandle::unlimited();
+        assert!(a.included_in(&u, &b).unwrap());
+        assert!(!u.included_in(&a, &b).unwrap());
+        assert!(a.included_in(&a, &b).unwrap());
+        assert!(u.included_in(&u, &b).unwrap());
     }
 
     #[test]
     fn counterexample_is_genuine_and_shortest() {
         let a = ends_in_a();
         let u = universal();
-        let w = u.inclusion_counterexample(&a).expect("u ⊄ ends_in_a");
+        let b = BudgetHandle::unlimited();
+        let w = u
+            .inclusion_counterexample(&a, &b)
+            .unwrap()
+            .expect("u ⊄ ends_in_a");
         assert!(u.accepts(&w));
         assert!(!a.accepts(&w));
         // ε is the shortest word in L(u) \ L(a).
         assert!(w.is_empty());
-        assert!(a.inclusion_counterexample(&u).is_none());
+        assert!(a.inclusion_counterexample(&u, &b).unwrap().is_none());
     }
 
     #[test]
@@ -326,45 +263,46 @@ mod tests {
         let a = ends_in_a();
         let u = universal();
         let ab = ['a', 'b'];
+        let b = BudgetHandle::unlimited();
         for (x, y) in [(&a, &u), (&u, &a), (&a, &a), (&u, &u)] {
-            let eager = x
-                .intersect(&y.determinize(&ab).complement().to_nfa())
-                .is_empty();
-            assert_eq!(x.included_in(y), eager);
+            let not_y = y.determinize(&ab, &b).unwrap().complement().to_nfa();
+            let eager = x.intersect(&not_y, &b).unwrap().is_empty();
+            assert_eq!(x.included_in(y, &b).unwrap(), eager);
         }
     }
 
     #[test]
     fn inclusion_against_empty_language() {
         let empty = Nfa::<char>::new();
-        assert!(empty.included_in(&ends_in_a()));
+        let b = BudgetHandle::unlimited();
+        assert!(empty.included_in(&ends_in_a(), &b).unwrap());
         let w = ends_in_a()
-            .inclusion_counterexample(&empty)
+            .inclusion_counterexample(&empty, &b)
+            .unwrap()
             .expect("nonempty ⊄ ∅");
         assert!(ends_in_a().accepts(&w));
         assert_eq!(w, lit("a"));
     }
 
     #[test]
-    fn try_intersect_matches_eager() {
+    fn intersect_keeps_the_common_language() {
         let a = ends_in_a();
         let u = universal();
-        let b = BudgetHandle::unlimited();
-        let i = a.try_intersect(&u, &b).unwrap();
+        let i = a.intersect(&u, &BudgetHandle::unlimited()).unwrap();
         for w in ["", "a", "ba", "ab", "bb"] {
             assert_eq!(i.accepts(&lit(w)), a.accepts(&lit(w)), "{w}");
         }
     }
 
     #[test]
-    fn try_determinize_matches_eager() {
+    fn determinize_keeps_the_language() {
         let a = ends_in_a();
-        let ab = ['a', 'b'];
-        let d = a.try_determinize(&ab, &BudgetHandle::unlimited()).unwrap();
+        let d = a
+            .determinize(&['a', 'b'], &BudgetHandle::unlimited())
+            .unwrap();
         for w in ["", "a", "ba", "ab", "bb"] {
             assert_eq!(d.accepts(&lit(w)), a.accepts(&lit(w)), "{w}");
         }
-        assert!(d.equivalent(&a.determinize(&ab)));
     }
 
     #[test]
@@ -373,17 +311,15 @@ mod tests {
         let a = ends_in_a();
         let u = universal();
         let gen = Budget::default().with_fuel(1_000_000).start();
-        assert!(a.try_included_in(&u, &gen).unwrap());
-        assert!(!u.try_included_in(&a, &gen).unwrap());
+        assert!(a.included_in(&u, &gen).unwrap());
+        assert!(!u.included_in(&a, &gen).unwrap());
         assert!(gen.fuel_spent() > 0, "the lazy ops must charge fuel");
         let z = Budget::default().with_fuel(0).start();
         for err in [
-            a.try_included_in(&u, &z).map(|_| ()).unwrap_err(),
-            a.try_inclusion_counterexample(&u, &z)
-                .map(|_| ())
-                .unwrap_err(),
-            a.try_intersect(&u, &z).map(|_| ()).unwrap_err(),
-            a.try_determinize(&['a', 'b'], &z).map(|_| ()).unwrap_err(),
+            a.included_in(&u, &z).map(|_| ()).unwrap_err(),
+            a.inclusion_counterexample(&u, &z).map(|_| ()).unwrap_err(),
+            a.intersect(&u, &z).map(|_| ()).unwrap_err(),
+            a.determinize(&['a', 'b'], &z).map(|_| ()).unwrap_err(),
         ] {
             assert_eq!(err.reason, ExhaustReason::Fuel);
         }

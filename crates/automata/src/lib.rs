@@ -1,8 +1,10 @@
 //! # `tpx-automata`: string automata and regular expressions
 //!
 //! Nondeterministic finite string automata (NFAs) over *arbitrary* symbol
-//! types, deterministic automata with completion/complement/minimization,
-//! and a regular-expression engine with the Glushkov construction.
+//! types, deterministic automata with complement, the antichain inclusion
+//! test, and a regular-expression engine with the Glushkov construction.
+//! Every construction that can blow up takes a `BudgetHandle` and charges
+//! it.
 //!
 //! These are the Section 2 "Automata" of the paper, generalized over the
 //! symbol type because the workspace runs NFAs over several alphabets:

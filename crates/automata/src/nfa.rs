@@ -8,6 +8,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::Hash;
+use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 
 /// A dense automaton state identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -297,13 +298,21 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
         out
     }
 
-    /// Product automaton accepting `L(self) ∩ L(other)`.
-    pub fn intersect(&self, other: &Nfa<A>) -> Nfa<A> {
+    /// Product automaton accepting `L(self) ∩ L(other)`. Charges one fuel
+    /// unit per product state and per product transition, so a blowing-up
+    /// product exhausts its budget instead of the host.
+    pub fn intersect(
+        &self,
+        other: &Nfa<A>,
+        budget: &BudgetHandle,
+    ) -> Result<Nfa<A>, BudgetExceeded> {
+        budget.charge(1)?;
         let mut out = Nfa::new();
         let mut ids: HashMap<(StateId, StateId), StateId> = HashMap::new();
         let mut stack = Vec::new();
         for &p in &self.initial {
             for &q in &other.initial {
+                budget.charge(1)?;
                 let id = *ids.entry((p, q)).or_insert_with(|| {
                     stack.push((p, q));
                     out.add_state()
@@ -317,6 +326,7 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
             for (a, p2) in &self.trans[p.index()] {
                 for (b, q2) in &other.trans[q.index()] {
                     if a == b {
+                        budget.charge(1)?;
                         let next = *ids.entry((*p2, *q2)).or_insert_with(|| {
                             stack.push((*p2, *q2));
                             out.add_state()
@@ -326,7 +336,7 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// Disjoint union accepting `L(self) ∪ L(other)`.
@@ -459,20 +469,6 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
         }
         out
     }
-
-    /// Subset construction relative to the given alphabet (symbols outside
-    /// `alphabet` are assumed to never occur). The result is complete over
-    /// `alphabet`.
-    pub fn determinize(&self, alphabet: &[A]) -> crate::dfa::Dfa<A> {
-        crate::dfa::Dfa::from_nfa(self, alphabet)
-    }
-
-    /// Language equivalence over the given alphabet (via determinization).
-    pub fn equivalent(&self, other: &Nfa<A>, alphabet: &[A]) -> bool {
-        let d1 = self.determinize(alphabet);
-        let d2 = other.determinize(alphabet);
-        d1.equivalent(&d2)
-    }
 }
 
 impl tpx_trees::StableHash for StateId {
@@ -529,7 +525,7 @@ mod tests {
         assert!(u.accepts(&lit("ab")));
         assert!(u.accepts(&lit("ac")));
         assert!(!u.accepts(&lit("aa")));
-        let i = u.intersect(&a);
+        let i = u.intersect(&a, &BudgetHandle::unlimited()).unwrap();
         assert!(i.accepts(&lit("ab")));
         assert!(!i.accepts(&lit("ac")));
     }
@@ -615,7 +611,10 @@ mod tests {
     fn intersect_of_disjoint_is_empty() {
         let a = Nfa::word("a".chars());
         let b = Nfa::word("b".chars());
-        assert!(a.intersect(&b).is_empty());
+        assert!(a
+            .intersect(&b, &BudgetHandle::unlimited())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! Hand-rolled timing (single-shot, potentially multi-second operations).
 
 use std::time::Instant;
-use textpres::mso::{compile_sentence, Formula, VarGen};
+use textpres::mso::{compile_sentence, CompileCache, Formula, VarGen};
 use textpres::prelude::*;
+use textpres::trees::budget::BudgetHandle;
 
 /// A sentence with `depth` alternating quantifier blocks over a chain of
 /// child steps.
@@ -45,7 +46,9 @@ fn main() {
     for depth in [1usize, 2, 3] {
         let phi = alternating_sentence(&alpha, depth);
         let start = Instant::now();
-        let a = compile_sentence(&phi, alpha.len());
+        let budget = BudgetHandle::unlimited();
+        let a = compile_sentence(&phi, alpha.len(), &mut CompileCache::new(), &budget)
+            .expect("unlimited budget");
         println!(
             "  alternation depth {depth}: {:.3} s (formula size {}, automaton states {})",
             start.elapsed().as_secs_f64(),

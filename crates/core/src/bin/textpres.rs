@@ -1066,7 +1066,10 @@ fn cmd_subschema(args: &[String]) -> ExitCode {
         }
     };
     let max = textpres::topdown_maximal_subschema(&t, &schema);
-    if max.is_empty() {
+    // The sub-schema is an automaton the user asked for, built without a
+    // resource limit.
+    let budget = textpres::trees::budget::BudgetHandle::unlimited();
+    if max.is_empty(&budget).expect("unlimited budget") {
         println!("the transformation is text-preserving on NO document of the schema");
         return ExitCode::FAILURE;
     }
@@ -1076,11 +1079,12 @@ fn cmd_subschema(args: &[String]) -> ExitCode {
         max.size()
     );
     println!("{}", max.display(&alpha));
-    if let Some(w) = max.witness() {
+    if let Some(w) = max.witness(&budget).expect("unlimited budget") {
         println!("sample document inside:  {}", w.display(&alpha));
     }
-    let carved = textpres::treeauto::difference_nta(&schema, &max);
-    match carved.witness() {
+    let carved =
+        textpres::treeauto::difference_nta(&schema, &max, &budget).expect("unlimited budget");
+    match carved.witness(&budget).expect("unlimited budget") {
         Some(w) => println!("sample document outside: {}", w.display(&alpha)),
         None => println!("(the transformation is text-preserving on the whole schema)"),
     }

@@ -16,8 +16,8 @@
 //!   [`Engine::check_governed`] — whose `catch_unwind` turns a
 //!   panicking decider into a structured [`protocol::codes::PANICKED`]
 //!   response;
-//! - admission control (see [`admission`]) bounds concurrent checks and
-//!   the wait queue, shedding excess load with
+//! - admission control (the private `admission` module) bounds
+//!   concurrent checks and the wait queue, shedding excess load with
 //!   [`protocol::codes::OVERLOADED`] instead of growing memory;
 //! - connections have read/write timeouts, an idle timeout, and a
 //!   max-frame-size cap, so a slow or hostile client cannot pin a slot;

@@ -5,7 +5,8 @@
 //!
 //! 1. delete subtrees of the input tree (and promote single children),
 //! 2. delete top-down transducer rules and text rules,
-//! 3. suppress DTL rule additions (growing [`DtlSpec::drops`]),
+//! 3. suppress DTL rule additions (growing
+//!    [`DtlSpec::drops`](crate::DtlSpec::drops)),
 //! 4. delete schema declarations (never a start symbol's).
 //!
 //! The result is *1-minimal with respect to these operations*: no single
@@ -197,6 +198,7 @@ mod tests {
     use super::*;
     use crate::case::DtlSpec;
     use tpx_topdown::{RhsNode, TdState};
+    use tpx_trees::budget::BudgetHandle;
     use tpx_trees::{Alphabet, HedgeBuilder, Symbol};
 
     fn base_case(alpha: &Alphabet) -> Case {
@@ -299,7 +301,10 @@ mod tests {
     fn decls_shrink_but_starts_are_kept() {
         let alpha = Alphabet::from_labels(["a0", "a1"]);
         let case = base_case(&alpha);
-        let shrunk = shrink_case(&case, |c| !c.schema_nta().is_empty());
+        let shrunk = shrink_case(&case, |c| {
+            let nta = c.schema_nta();
+            !nta.is_empty(&BudgetHandle::unlimited()).unwrap()
+        });
         assert_eq!(shrunk.decls.len(), 1);
         assert_eq!(shrunk.decls[0].0, "a0");
     }

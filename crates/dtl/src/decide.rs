@@ -32,8 +32,8 @@ use std::collections::HashMap;
 
 use tpx_mso::formula::derived;
 use tpx_mso::{
-    lift, try_compile_cached, try_project_bit, try_strip_bits, CompileCache, CompileError, Formula,
-    MSym, Var, VarGen, VarKey,
+    compile, lift, project_bit, strip_bits, CompileCache, CompileError, Formula, MSym, Var, VarGen,
+    VarKey,
 };
 use tpx_topdown::StageCtx;
 use tpx_treeauto::{nbta_to_nta, nta_to_nbta, EncSym, Nbta, Nta};
@@ -175,7 +175,7 @@ impl AutoBuilder {
         phi: &Formula,
         budget: &BudgetHandle,
     ) -> Result<Nbta<MSym>, CompileError> {
-        try_compile_cached(
+        compile(
             phi,
             &[VarKey::Fo(self.vx)],
             self.n_symbols,
@@ -190,7 +190,7 @@ impl AutoBuilder {
         phi: &Formula,
         budget: &BudgetHandle,
     ) -> Result<Nbta<MSym>, CompileError> {
-        try_compile_cached(
+        compile(
             phi,
             &[VarKey::Fo(self.vx), VarKey::Fo(self.vy)],
             self.n_symbols,
@@ -396,11 +396,11 @@ fn join_eliminate(
             let lifted = lift(&f.auto, n_symbols, &positions, width);
             joined = Some(match joined {
                 None => lifted,
-                Some(a) => a.try_intersect(&lifted, budget)?.try_trim(budget)?,
+                Some(a) => a.intersect(&lifted, budget)?.trim(budget)?,
             });
         }
         let joined = joined.expect("v came from some factor");
-        let projected = try_project_bit(&joined, n_symbols, width - 1, true, budget)?;
+        let projected = project_bit(&joined, n_symbols, width - 1, true, budget)?;
         scope.pop();
         factors.push(Factor {
             auto: projected,
@@ -413,11 +413,11 @@ fn join_eliminate(
         debug_assert!(f.vars.is_empty());
         sentence = Some(match sentence {
             None => f.auto,
-            Some(a) => a.try_intersect(&f.auto, budget)?.try_trim(budget)?,
+            Some(a) => a.intersect(&f.auto, budget)?.trim(budget)?,
         });
     }
     let sentence = sentence.unwrap_or_else(|| tpx_mso::atomic::true_auto(n_symbols, 0));
-    try_strip_bits(&sentence, n_symbols, budget)
+    strip_bits(&sentence, n_symbols, budget)
 }
 
 fn union_sentences(
@@ -429,12 +429,12 @@ fn union_sentences(
     for item in items {
         out = Some(match out {
             None => item,
-            Some(a) => a.union(&item).try_trim(budget)?,
+            Some(a) => a.union(&item).trim(budget)?,
         });
     }
     match out {
         Some(a) => Ok(a),
-        None => try_strip_bits(
+        None => strip_bits(
             &tpx_mso::atomic::false_auto(n_symbols, 0),
             n_symbols,
             budget,
@@ -484,7 +484,7 @@ pub fn compile_schema_nbta(
     ctx: StageCtx<'_>,
 ) -> Result<DtlSchemaArtifacts, BudgetExceeded> {
     Ok(DtlSchemaArtifacts {
-        schema: nta_to_nbta(nta).try_trim(ctx.budget)?,
+        schema: nta_to_nbta(nta).trim(ctx.budget)?,
     })
 }
 
@@ -508,7 +508,7 @@ pub fn compile_counterexample<P: MsoDefinable>(
         b.rearrange_auto(ctx.budget)
     })?;
     Ok(DtlTransducerArtifacts {
-        counterexample: copy.union(&rearrange).try_trim(ctx.budget)?,
+        counterexample: copy.union(&rearrange).trim(ctx.budget)?,
         n_symbols,
     })
 }
@@ -519,7 +519,7 @@ pub fn compile_counterexample<P: MsoDefinable>(
 /// charged; a witness that fails to decode to an unranked tree is reported
 /// as [`DtlDecideError::Internal`] instead of panicking.
 ///
-/// The product is never materialized: [`Nbta::try_intersect_witness`]
+/// The product is never materialized: [`Nbta::intersect_witness`]
 /// explores only derivable counterexample×schema state pairs and exits at
 /// the first accepting one, so a non-preserving program is reported as
 /// soon as *one* counterexample tree is derivable, and a preserving one
@@ -536,7 +536,7 @@ pub fn dtl_text_preserving_with(
         || {
             transducer
                 .counterexample
-                .try_intersect_witness(&schema.schema, ctx.budget)
+                .intersect_witness(&schema.schema, ctx.budget)
         },
     )?;
     ctx.span(
@@ -613,11 +613,11 @@ pub fn dtl_deleted_text_under<P: MsoDefinable>(
     let phi = under.and(reached.not());
     StageCtx::unlimited(|ctx| -> Result<Option<Tree>, DtlDecideError> {
         let budget = ctx.budget;
-        let deleted = try_compile_cached(&phi, &[VarKey::Fo(vx)], n_symbols, &mut b.cache, budget)?;
-        let sentence = try_project_bit(&deleted, n_symbols, 0, true, budget)?;
-        let schema = nta_to_nbta(nta).try_trim(budget)?;
+        let deleted = compile(&phi, &[VarKey::Fo(vx)], n_symbols, &mut b.cache, budget)?;
+        let sentence = project_bit(&deleted, n_symbols, 0, true, budget)?;
+        let schema = nta_to_nbta(nta).trim(budget)?;
         let witness =
-            try_strip_bits(&sentence, n_symbols, budget)?.try_intersect_witness(&schema, budget)?;
+            strip_bits(&sentence, n_symbols, budget)?.intersect_witness(&schema, budget)?;
         witness
             .map(|w| {
                 tpx_treeauto::convert::decode_witness(&w).ok_or_else(|| {
@@ -648,7 +648,7 @@ pub fn check_determinism<P: MsoDefinable>(
     gen.reserve(Var(MsoPatterns::HOLE_Y.0 + 1));
     let mut cache = CompileCache::new();
     let x = gen.var();
-    let schema = nta_to_nbta(nta).try_trim(budget)?;
+    let schema = nta_to_nbta(nta).trim(budget)?;
     let guards: Vec<(DtlState, Formula)> = t
         .rules()
         .iter()
@@ -670,9 +670,8 @@ pub fn check_determinism<P: MsoDefinable>(
                 gi.rename_fo(MsoPatterns::HOLE_X, x)
                     .and(gj.rename_fo(MsoPatterns::HOLE_X, x)),
             );
-            let a = try_compile_cached(&both, &[], n_symbols, &mut cache, budget)?;
-            let overlap =
-                try_strip_bits(&a, n_symbols, budget)?.try_intersect_witness(&schema, budget)?;
+            let a = compile(&both, &[], n_symbols, &mut cache, budget)?;
+            let overlap = strip_bits(&a, n_symbols, budget)?.intersect_witness(&schema, budget)?;
             if let Some(w) = overlap {
                 let witness = tpx_treeauto::convert::decode_witness(&w).ok_or_else(|| {
                     DtlDecideError::Internal("schema product witness does not decode".into())
@@ -696,15 +695,15 @@ pub fn dtl_maximal_subschema<P: MsoDefinable>(t: &DtlTransducer<P>, nta: &Nta) -
         let schema = compile_schema_nbta(nta, ctx)?;
         let not_ce = ce
             .counterexample
-            .try_determinize(ctx.budget)?
+            .determinize(ctx.budget)?
             .complement()
             .to_nbta()
-            .try_trim(ctx.budget)?;
+            .trim(ctx.budget)?;
         let kept = schema
             .schema
-            .try_intersect(&not_ce, ctx.budget)?
-            .try_trim(ctx.budget)?;
-        Ok(nbta_to_nta(&kept, ce.n_symbols))
+            .intersect(&not_ce, ctx.budget)?
+            .trim(ctx.budget)?;
+        Ok(nbta_to_nta(&kept, ce.n_symbols, ctx.budget)?)
     })
     .unwrap_or_else(|e| panic!("{e}"))
 }
@@ -962,13 +961,14 @@ mod tests {
         t.set_text_rule(DtlState(1), true);
         let nta = universal(&al);
         let max = dtl_maximal_subschema(&t, &nta);
-        assert!(!max.is_empty());
+        let budget = BudgetHandle::unlimited();
+        assert!(!max.is_empty(&budget).unwrap());
         let mut al2 = al.clone();
         let inside = tpx_trees::term::parse_tree(r#"a("x" b)"#, &mut al2).unwrap();
         assert!(max.accepts(&inside));
         let outside = tpx_trees::term::parse_tree(r#"a(b("y"))"#, &mut al2).unwrap();
         assert!(!max.accepts(&outside));
-        let w = max.witness().unwrap();
+        let w = max.witness(&budget).unwrap().unwrap();
         assert!(config::text_preserving_on(
             &t,
             &Tree::from_hedge(tpx_trees::make_value_unique(w.as_hedge())).unwrap()

@@ -19,8 +19,9 @@ use crate::pattern::MsoPatterns;
 use crate::reach::ReachSystem;
 use std::collections::HashSet;
 
-use tpx_mso::{compile_sentence_cached, naive_eval, Assignment, CompileCache, Formula, VarGen};
+use tpx_mso::{compile_sentence, naive_eval, Assignment, CompileCache, Formula, VarGen};
 use tpx_treeauto::{EncSym, Nbta};
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::{NodeId, Tree};
 
 /// A transition `(q, φ, α) → q'`.
@@ -108,7 +109,9 @@ impl Tja {
     /// TJA_MSO define only regular tree languages.
     pub fn to_language(&self, n_symbols: usize) -> Nbta<EncSym> {
         let mut cache = CompileCache::new();
-        compile_sentence_cached(&self.acceptance_sentence(), n_symbols, &mut cache)
+        let budget = BudgetHandle::unlimited();
+        compile_sentence(&self.acceptance_sentence(), n_symbols, &mut cache, &budget)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

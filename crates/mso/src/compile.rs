@@ -1,7 +1,7 @@
 //! The Thatcher–Wright compiler: MSO formulas → bottom-up tree automata
 //! over marked encodings.
 //!
-//! `compile(φ, ctx, n_symbols)` produces an automaton over
+//! [`compile`] turns a formula `φ` and a context `ctx` into an automaton over
 //! `(Σ ⊎ {text}) × 2^|ctx|` accepting exactly the marked encodings of trees
 //! `t` with valuations `ν` (singleton marks for FO variables, arbitrary
 //! marks for SO variables) such that `t ⊨ φ[ν]`.
@@ -84,35 +84,6 @@ impl CompileCache {
     }
 }
 
-/// [`compile`] with memoization on every recursive step.
-pub fn compile_cached(
-    phi: &Formula,
-    ctx: &[VarKey],
-    n_symbols: usize,
-    cache: &mut CompileCache,
-) -> Nbta<MSym> {
-    try_compile_cached(phi, ctx, n_symbols, cache, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`compile_cached`]: only successful compilations are memoized,
-/// so a budget-aborted compilation can be retried with a larger budget.
-pub fn try_compile_cached(
-    phi: &Formula,
-    ctx: &[VarKey],
-    n_symbols: usize,
-    cache: &mut CompileCache,
-    budget: &BudgetHandle,
-) -> Result<Nbta<MSym>, CompileError> {
-    let key = (phi.clone(), ctx.to_vec(), n_symbols);
-    if let Some(hit) = cache.map.get(&key) {
-        return Ok(hit.clone());
-    }
-    let result = compile_inner(phi, ctx, n_symbols, &mut Some(cache), budget)?;
-    cache.map.insert(key, result.clone());
-    Ok(result)
-}
-
 /// A context entry: a free variable with its bit position given by its
 /// index in the context slice.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -135,44 +106,23 @@ fn bit_of(ctx: &[VarKey], k: VarKey) -> Result<usize, CompileError> {
 }
 
 /// Compiles `φ` against the given context (which must contain all free
-/// variables of `φ`).
-pub fn compile(phi: &Formula, ctx: &[VarKey], n_symbols: usize) -> Nbta<MSym> {
-    try_compile(phi, ctx, n_symbols, &BudgetHandle::unlimited()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted, fallible [`compile`].
-pub fn try_compile(
+/// variables of `φ`), memoizing every recursive step in `cache`. Only
+/// successful compilations are memoized, so a budget-aborted compilation
+/// can be retried with a larger budget.
+pub fn compile(
     phi: &Formula,
     ctx: &[VarKey],
     n_symbols: usize,
+    cache: &mut CompileCache,
     budget: &BudgetHandle,
 ) -> Result<Nbta<MSym>, CompileError> {
-    compile_inner(phi, ctx, n_symbols, &mut None, budget)
-}
-
-fn rec(
-    phi: &Formula,
-    ctx: &[VarKey],
-    n_symbols: usize,
-    cache: &mut Option<&mut CompileCache>,
-    budget: &BudgetHandle,
-) -> Result<Nbta<MSym>, CompileError> {
-    match cache {
-        Some(c) => try_compile_cached(phi, ctx, n_symbols, c, budget),
-        None => compile_inner(phi, ctx, n_symbols, &mut None, budget),
+    let key = (phi.clone(), ctx.to_vec(), n_symbols);
+    if let Some(hit) = cache.map.get(&key) {
+        return Ok(hit.clone());
     }
-}
-
-fn compile_inner(
-    phi: &Formula,
-    ctx: &[VarKey],
-    n_symbols: usize,
-    cache: &mut Option<&mut CompileCache>,
-    budget: &BudgetHandle,
-) -> Result<Nbta<MSym>, CompileError> {
     budget.charge(1)?;
     let w = ctx.len();
-    Ok(match phi {
+    let result = match phi {
         Formula::True => atomic::true_auto(n_symbols, w),
         Formula::False => atomic::false_auto(n_symbols, w),
         Formula::Child(x, y) => atomic::child(
@@ -215,49 +165,51 @@ fn compile_inner(
             bit_of(ctx, VarKey::So(*s))?,
         ),
         Formula::And(a, b) => {
-            let aa = rec(a, ctx, n_symbols, cache, budget)?;
-            let bb = rec(b, ctx, n_symbols, cache, budget)?;
-            aa.try_intersect(&bb, budget)?.try_trim(budget)?
+            let aa = compile(a, ctx, n_symbols, cache, budget)?;
+            let bb = compile(b, ctx, n_symbols, cache, budget)?;
+            aa.intersect(&bb, budget)?.trim(budget)?
         }
         Formula::Or(a, b) => {
-            let aa = rec(a, ctx, n_symbols, cache, budget)?;
-            let bb = rec(b, ctx, n_symbols, cache, budget)?;
-            aa.union(&bb).try_trim(budget)?
+            let aa = compile(a, ctx, n_symbols, cache, budget)?;
+            let bb = compile(b, ctx, n_symbols, cache, budget)?;
+            aa.union(&bb).trim(budget)?
         }
         Formula::Not(a) => match pushed_negation(a) {
             // Negation stays symbolic where the formula shape allows: De
             // Morgan / double-negation / quantifier duality move the `¬`
             // toward the atoms, so only irreducibly negated subformulas
             // ever pay for the subset construction.
-            Some(simpler) => rec(&simpler, ctx, n_symbols, cache, budget)?,
-            None => complement(&rec(a, ctx, n_symbols, cache, budget)?, budget)?,
+            Some(simpler) => compile(&simpler, ctx, n_symbols, cache, budget)?,
+            None => complement(&compile(a, ctx, n_symbols, cache, budget)?, budget)?,
         },
         Formula::ExistsFo(v, a) => {
             let inner = extend_ctx(ctx, VarKey::Fo(*v));
-            let body = rec(a, &inner, n_symbols, cache, budget)?;
+            let body = compile(a, &inner, n_symbols, cache, budget)?;
             let guarded = body
-                .try_intersect(
+                .intersect(
                     &atomic::singleton(n_symbols, inner.len(), ctx.len()),
                     budget,
                 )?
-                .try_trim(budget)?;
+                .trim(budget)?;
             project_last_bit(&guarded, n_symbols, ctx.len(), budget)?
         }
         Formula::ExistsSo(v, a) => {
             let inner = extend_ctx(ctx, VarKey::So(*v));
-            let body = rec(a, &inner, n_symbols, cache, budget)?;
-            project_last_bit(&body.try_trim(budget)?, n_symbols, ctx.len(), budget)?
+            let body = compile(a, &inner, n_symbols, cache, budget)?;
+            project_last_bit(&body.trim(budget)?, n_symbols, ctx.len(), budget)?
         }
         Formula::ForallFo(v, a) => {
             // ∀x φ = ¬∃x ¬φ.
             let neg = Formula::ExistsFo(*v, Box::new(a.clone().not()));
-            complement(&rec(&neg, ctx, n_symbols, cache, budget)?, budget)?
+            complement(&compile(&neg, ctx, n_symbols, cache, budget)?, budget)?
         }
         Formula::ForallSo(v, a) => {
             let neg = Formula::ExistsSo(*v, Box::new(a.clone().not()));
-            complement(&rec(&neg, ctx, n_symbols, cache, budget)?, budget)?
+            complement(&compile(&neg, ctx, n_symbols, cache, budget)?, budget)?
         }
-    })
+    };
+    cache.map.insert(key, result.clone());
+    Ok(result)
 }
 
 /// One step of negation pushing: `¬φ` rewritten to an equivalent formula
@@ -295,10 +247,7 @@ fn extend_ctx(ctx: &[VarKey], k: VarKey) -> Vec<VarKey> {
 }
 
 fn complement(a: &Nbta<MSym>, budget: &BudgetHandle) -> Result<Nbta<MSym>, BudgetExceeded> {
-    a.try_determinize(budget)?
-        .complement()
-        .to_nbta()
-        .try_trim(budget)
+    a.determinize(budget)?.complement().to_nbta().trim(budget)
 }
 
 /// Drops the highest bit (the variable at position `width`, i.e. the last
@@ -310,75 +259,21 @@ fn project_last_bit(
     budget: &BudgetHandle,
 ) -> Result<Nbta<MSym>, BudgetExceeded> {
     let mask = (1u64 << width) - 1;
-    let projected = a.map_symbols(|s| MSym {
-        label: s.label,
-        bits: s.bits & mask,
-    });
-    // map_symbols derives alphabets from the source; normalize to the
-    // canonical alphabets for this width.
-    rebuild_alphabets(&projected, n_symbols, width, budget)?.try_trim(budget)
-}
-
-/// Rebuilds `a` with the canonical alphabets for `width` bits (languages
-/// are unchanged; rule sets are already over a subset of these symbols).
-fn rebuild_alphabets(
-    a: &Nbta<MSym>,
-    n_symbols: usize,
-    width: usize,
-    budget: &BudgetHandle,
-) -> Result<Nbta<MSym>, BudgetExceeded> {
-    let mut out = Nbta::new(
+    a.relabel(
         atomic::leaf_alphabet(),
         atomic::internal_alphabet(n_symbols, width),
-    );
-    for _ in 0..a.state_count() {
-        out.add_state();
-    }
-    for q in a.states() {
-        out.set_final(q, a.is_final(q));
-    }
-    for l in a.leaf_alphabet() {
-        for &q in a.leaf_states(l) {
-            out.add_leaf_rule(*l, q);
-        }
-    }
-    for l in a.internal_alphabet() {
-        for q1 in a.states() {
-            budget.charge(a.state_count() as u64)?;
-            for q2 in a.states() {
-                for &q in a.rule_states(l, q1, q2) {
-                    out.add_rule(*l, q1, q2, q);
-                }
-            }
-        }
-    }
-    Ok(out)
+        |s| MSym {
+            label: s.label,
+            bits: s.bits & mask,
+        },
+        budget,
+    )?
+    .trim(budget)
 }
 
 /// Compiles a sentence (no free variables) to an automaton over plain
 /// encoding symbols: the regular language `{ t : t ⊨ φ }`.
-pub fn compile_sentence(phi: &Formula, n_symbols: usize) -> Nbta<EncSym> {
-    let (fo, so) = phi.free_vars();
-    assert!(
-        fo.is_empty() && so.is_empty(),
-        "compile_sentence requires a closed formula"
-    );
-    let a = compile(phi, &[], n_symbols);
-    strip_bits(&a, n_symbols)
-}
-
-/// As [`compile_sentence`], but with memoization across calls.
-pub fn compile_sentence_cached(
-    phi: &Formula,
-    n_symbols: usize,
-    cache: &mut CompileCache,
-) -> Nbta<EncSym> {
-    try_compile_sentence_cached(phi, n_symbols, cache, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`compile_sentence_cached`].
-pub fn try_compile_sentence_cached(
+pub fn compile_sentence(
     phi: &Formula,
     n_symbols: usize,
     cache: &mut CompileCache,
@@ -389,48 +284,24 @@ pub fn try_compile_sentence_cached(
         fo.is_empty() && so.is_empty(),
         "compile_sentence requires a closed formula"
     );
-    let a = try_compile_cached(phi, &[], n_symbols, cache, budget)?;
-    Ok(try_strip_bits(&a, n_symbols, budget)?)
+    let a = compile(phi, &[], n_symbols, cache, budget)?;
+    Ok(strip_bits(&a, n_symbols, budget)?)
 }
 
 /// Converts a zero-bit marked automaton into one over plain encoding
 /// symbols.
-pub fn strip_bits(a: &Nbta<MSym>, n_symbols: usize) -> Nbta<EncSym> {
-    try_strip_bits(a, n_symbols, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`strip_bits`].
-pub fn try_strip_bits(
+pub fn strip_bits(
     a: &Nbta<MSym>,
     n_symbols: usize,
     budget: &BudgetHandle,
 ) -> Result<Nbta<EncSym>, BudgetExceeded> {
-    let mut out = Nbta::new(
+    a.relabel(
         vec![EncSym::Nil],
         tpx_treeauto::convert::enc_internal_alphabet(n_symbols),
-    );
-    for _ in 0..a.state_count() {
-        out.add_state();
-    }
-    for q in a.states() {
-        out.set_final(q, a.is_final(q));
-    }
-    for l in a.leaf_alphabet() {
-        for &q in a.leaf_states(l) {
-            out.add_leaf_rule(l.label, q);
-        }
-    }
-    for l in a.internal_alphabet() {
-        for q1 in a.states() {
-            budget.charge(a.state_count() as u64)?;
-            for q2 in a.states() {
-                for &q in a.rule_states(l, q1, q2) {
-                    out.add_rule(l.label, q1, q2, q);
-                }
-            }
-        }
-    }
-    out.try_trim(budget)
+        |m| m.label,
+        budget,
+    )?
+    .trim(budget)
 }
 
 /// Re-embeds an automaton compiled at a narrow context into a wider one:
@@ -464,12 +335,7 @@ pub fn lift(a: &Nbta<MSym>, n_symbols: usize, positions: &[usize], to_width: usi
 /// guarding it as a singleton when `fo` is true (first-order variables).
 /// No determinization: projection of a nondeterministic automaton is a
 /// relabelling.
-pub fn project_bit(a: &Nbta<MSym>, n_symbols: usize, width: usize, fo: bool) -> Nbta<MSym> {
-    try_project_bit(a, n_symbols, width, fo, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`project_bit`].
-pub fn try_project_bit(
+pub fn project_bit(
     a: &Nbta<MSym>,
     n_symbols: usize,
     width: usize,
@@ -477,10 +343,10 @@ pub fn try_project_bit(
     budget: &BudgetHandle,
 ) -> Result<Nbta<MSym>, BudgetExceeded> {
     let guarded = if fo {
-        a.try_intersect(&atomic::singleton(n_symbols, width + 1, width), budget)?
-            .try_trim(budget)?
+        a.intersect(&atomic::singleton(n_symbols, width + 1, width), budget)?
+            .trim(budget)?
     } else {
-        a.try_trim(budget)?
+        a.trim(budget)?
     };
     project_last_bit(&guarded, n_symbols, width, budget)
 }
@@ -543,21 +409,6 @@ fn build_marked(
     }
 }
 
-/// Convenience: model checking through the compiled automaton (used to
-/// validate the compiler against [`crate::eval::naive_eval`]).
-pub fn compiled_eval(
-    t: &Tree,
-    phi: &Formula,
-    ctx: &[VarKey],
-    asg: &crate::eval::Assignment,
-    n_symbols: usize,
-) -> bool {
-    let a = compile(phi, ctx, n_symbols);
-    // Free FO variables must be singleton-marked for the automaton route to
-    // coincide with the logical semantics; the assignment guarantees it.
-    a.accepts(&marked_encoding(t, ctx, asg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,6 +419,16 @@ mod tests {
 
     fn alpha() -> Alphabet {
         Alphabet::from_labels(["a", "b"])
+    }
+
+    fn compile_unlimited(phi: &Formula, ctx: &[VarKey], n_symbols: usize) -> Nbta<MSym> {
+        let budget = BudgetHandle::unlimited();
+        compile(phi, ctx, n_symbols, &mut CompileCache::new(), &budget).unwrap()
+    }
+
+    fn compile_sentence_unlimited(phi: &Formula, n_symbols: usize) -> Nbta<EncSym> {
+        let budget = BudgetHandle::unlimited();
+        compile_sentence(phi, n_symbols, &mut CompileCache::new(), &budget).unwrap()
     }
 
     const SAMPLES: [&str; 6] = [
@@ -588,7 +449,7 @@ mod tests {
         for src in SAMPLES {
             let mut al = alpha();
             let t = parse_tree(src, &mut al).unwrap();
-            let a = compile(&phi, &ctx, al.len());
+            let a = compile_unlimited(&phi, &ctx, al.len());
             for &n1 in &t.dfs() {
                 for &n2 in &t.dfs() {
                     let asg = Assignment::new().bind(x, n1).bind(y, n2);
@@ -640,7 +501,7 @@ mod tests {
             for src in SAMPLES {
                 let mut al = alpha();
                 let t = parse_tree(src, &mut al).unwrap();
-                let a = compile(phi, &ctx, al.len());
+                let a = compile_unlimited(phi, &ctx, al.len());
                 for &n in &t.dfs() {
                     let asg = Assignment::new().bind(x, n);
                     let expect = naive_eval(&t, phi, &asg);
@@ -670,7 +531,7 @@ mod tests {
         let x = g.var();
         // ∃x lab_b(x): trees containing a b-node.
         let phi = Formula::exists(x, Formula::Lab(al.sym("b"), x));
-        let a = compile_sentence(&phi, al.len());
+        let a = compile_sentence_unlimited(&phi, al.len());
         for (src, expect) in [
             ("a", false),
             ("a(b)", true),
@@ -696,13 +557,13 @@ mod tests {
                 .or(Formula::Lab(al.sym("a"), x))
                 .or(Formula::Lab(al.sym("b"), x)),
         );
-        let a = compile_sentence(&phi, al.len());
+        let a = compile_sentence_unlimited(&phi, al.len());
         let t = parse_tree(r#"a(b "x")"#, &mut al).unwrap();
         assert!(a.accepts(&tpx_treeauto::convert::encode_for_automata(&t)));
         // ∀x lab_a(x): only pure-a trees.
         let y = g.var();
         let phi2 = Formula::forall(y, Formula::Lab(al.sym("a"), y));
-        let a2 = compile_sentence(&phi2, al.len());
+        let a2 = compile_sentence_unlimited(&phi2, al.len());
         let pure = parse_tree("a(a a)", &mut al).unwrap();
         let mixed = parse_tree("a(b)", &mut al).unwrap();
         assert!(a2.accepts(&tpx_treeauto::convert::encode_for_automata(&pure)));
@@ -731,8 +592,8 @@ mod tests {
         let ctx = [VarKey::Fo(x), VarKey::Fo(y)];
         let mut al = alpha();
         let t = parse_tree(r#"a(b("t") a)"#, &mut al).unwrap();
-        let a_reach = compile(&reach, &ctx, al.len());
-        let a_dos = compile(&dos, &ctx, al.len());
+        let a_reach = compile_unlimited(&reach, &ctx, al.len());
+        let a_dos = compile_unlimited(&dos, &ctx, al.len());
         for &n1 in &t.dfs() {
             for &n2 in &t.dfs() {
                 let asg = Assignment::new().bind(x, n1).bind(y, n2);
@@ -749,10 +610,11 @@ mod tests {
         let (x, y) = (Var(0), Var(1));
         let mut al = alpha();
         let n = al.len();
-        let child = compile(&Formula::Child(x, y), &[VarKey::Fo(x), VarKey::Fo(y)], n);
+        let child = compile_unlimited(&Formula::Child(x, y), &[VarKey::Fo(x), VarKey::Fo(y)], n);
         // Manual route: child is already at ctx [x, y]; project bit 1.
-        let manual = crate::compile::project_bit(&child, n, 1, true);
-        let via_compiler = compile(
+        let manual =
+            crate::compile::project_bit(&child, n, 1, true, &BudgetHandle::unlimited()).unwrap();
+        let via_compiler = compile_unlimited(
             &Formula::exists(y, Formula::Child(x, y)),
             &[VarKey::Fo(x)],
             n,
@@ -774,11 +636,11 @@ mod tests {
         let (x, y, z) = (Var(0), Var(1), Var(2));
         let mut al = alpha();
         let n = al.len();
-        let child = compile(&Formula::Child(x, y), &[VarKey::Fo(x), VarKey::Fo(y)], n);
+        let child = compile_unlimited(&Formula::Child(x, y), &[VarKey::Fo(x), VarKey::Fo(y)], n);
         let lifted = crate::compile::lift(&child, n, &[2, 0], 3);
         // Equivalent formula at the wide context: Child(z, x) with ctx
         // [x, y, z] — bit 2 is z (source), bit 0 is x (target).
-        let direct = compile(
+        let direct = compile_unlimited(
             &Formula::Child(z, x),
             &[VarKey::Fo(x), VarKey::Fo(y), VarKey::Fo(z)],
             n,
@@ -808,7 +670,7 @@ mod tests {
         let ctx = [VarKey::Fo(x), VarKey::Fo(y)];
         let mut al = alpha();
         let t = parse_tree(r#"a(b("s") a(b) "t")"#, &mut al).unwrap();
-        let a = compile(&phi, &ctx, al.len());
+        let a = compile_unlimited(&phi, &ctx, al.len());
         for &n1 in &t.dfs() {
             for &n2 in &t.dfs() {
                 let expect = t.doc_cmp(n1, n2) == std::cmp::Ordering::Less;

@@ -29,9 +29,8 @@ pub mod eval;
 pub mod formula;
 
 pub use compile::{
-    compile, compile_cached, compile_sentence, compile_sentence_cached, lift, marked_encoding,
-    project_bit, strip_bits, try_compile, try_compile_cached, try_compile_sentence_cached,
-    try_project_bit, try_strip_bits, CompileCache, CompileError, MSym, VarKey,
+    compile, compile_sentence, lift, marked_encoding, project_bit, strip_bits, CompileCache,
+    CompileError, MSym, VarKey,
 };
 pub use eval::{naive_eval, try_naive_eval, Assignment, EvalError};
 pub use formula::{Formula, SetVar, Var, VarGen};

@@ -479,8 +479,9 @@ mod tests {
         let nta = d.to_nta();
         let t = tpx_trees::samples::recipe_tree(&mut al);
         assert!(nta.accepts(&t));
-        assert!(!nta.is_empty());
-        let w = nta.witness().unwrap();
+        let budget = tpx_trees::budget::BudgetHandle::unlimited();
+        assert!(!nta.is_empty(&budget).unwrap());
+        let w = nta.witness(&budget).unwrap().unwrap();
         assert!(d.validates(&w));
     }
 

@@ -46,7 +46,8 @@ mod tests {
         let d = recipe_dtd(&al);
         assert!(d.is_reduced());
         let nta = d.to_nta();
-        assert!(!nta.is_empty());
+        let budget = tpx_trees::budget::BudgetHandle::unlimited();
+        assert!(!nta.is_empty(&budget).unwrap());
     }
 
     #[test]

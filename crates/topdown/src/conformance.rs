@@ -472,8 +472,8 @@ pub fn conformance_witness_with(
         );
         schema
     };
-    let product = art.bad.try_intersect(schema, budget)?.try_trim(budget)?;
-    product.try_witness(budget)
+    let product = art.bad.intersect(schema, budget)?.trim(budget)?;
+    product.witness(budget)
 }
 
 /// Widens an NTA to a larger alphabet (new symbols get no content rules).

@@ -178,22 +178,20 @@ pub fn compile_transducer_artifacts(
 }
 
 /// The Lemma 4.9 emptiness tests over precompiled artifacts: two linear
-/// products plus shortest-word searches, each product charged before it
-/// is built.
+/// products plus shortest-word searches, each product charged as it is
+/// built.
 fn copying_witness_with(
     schema: &SchemaArtifacts,
     copy: &CopyArtifacts,
     budget: &BudgetHandle,
 ) -> Result<Option<Vec<PathSym>>, BudgetExceeded> {
     // Condition (1): two different path runs on the same text path.
-    budget.charge((schema.a_n.size() + copy.diverging.size()) as u64)?;
-    let m1 = schema.a_n.intersect(&copy.diverging);
+    let m1 = schema.a_n.intersect(&copy.diverging, budget)?;
     if let Some(w) = m1.shortest_word() {
         return Ok(Some(w));
     }
     // Condition (2): one path run through a doubling rule.
-    budget.charge((schema.a_n.size() + copy.doubling.size()) as u64)?;
-    let m2 = schema.a_n.intersect(&copy.doubling);
+    let m2 = schema.a_n.intersect(&copy.doubling, budget)?;
     Ok(m2.shortest_word())
 }
 
@@ -204,9 +202,7 @@ fn rearranging_witness_with(
     nta: &Nta,
     budget: &BudgetHandle,
 ) -> Result<Option<Tree>, BudgetExceeded> {
-    m.try_intersect(nta, budget)?
-        .try_trim(budget)?
-        .try_witness(budget)
+    m.intersect(nta, budget)?.trim(budget)?.witness(budget)
 }
 
 /// Stage 2: the Theorem 4.11 verdict over precompiled artifacts. Each
@@ -554,7 +550,7 @@ fn build_rearranging_nta(t: &Transducer, budget: &BudgetHandle) -> Result<Nta, B
         m.set_text_ok(*st, ok);
     }
     m.add_root(sp.s0(t.initial()));
-    m.try_trim(budget)
+    m.trim(budget)
 }
 
 #[cfg(test)]

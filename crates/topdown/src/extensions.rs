@@ -9,9 +9,9 @@
 //! automata of Lemma 4.8. Rather than determinizing and complementing
 //! `A_T` eagerly, the staged pipeline phrases the same question as an
 //! inclusion — is `L(A_N ∩ through-σ) ⊆ L(A_T)`? — and answers it with
-//! the word-level antichain procedure (`Nfa::try_inclusion_counterexample`,
-//! the string twin of DESIGN.md §13's tree layer), whose breadth-first
-//! counterexample is exactly a shortest deleted text path.
+//! the word-level antichain procedure (`Nfa::inclusion_counterexample`,
+//! DESIGN.md §13), whose breadth-first counterexample is exactly a shortest
+//! deleted text path.
 //!
 //! The *text-retention* analysis of the engine layer
 //! (`TextRetentionDecider`) runs [`compile_retention_artifacts`] and
@@ -72,8 +72,8 @@ pub fn deleted_text_under_with(
     budget.charge(1)?;
     let through = through_labels(labels, &schema.path_alphabet);
     budget.charge(through.size() as u64)?;
-    let constrained = schema.a_n.try_intersect(&through, budget)?;
-    constrained.try_inclusion_counterexample(&retention.a_t, budget)
+    let constrained = schema.a_n.intersect(&through, budget)?;
+    constrained.inclusion_counterexample(&retention.a_t, budget)
 }
 
 /// If some schema tree has a text node below a node labelled with one of

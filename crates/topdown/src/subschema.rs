@@ -12,6 +12,7 @@ use crate::decide::rearranging_nta;
 use crate::transducer::{frontier_states, TdState, Transducer};
 use tpx_automata::Nfa;
 use tpx_treeauto::{difference_nta, Nta, State};
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::Symbol;
 
 /// Role layout for the copying NTA: `Any`, `S0(q)` (single shared run),
@@ -145,21 +146,26 @@ pub fn copying_nta(t: &Transducer) -> Nta {
         m.set_text_ok(*st, sp.text_ok(*st, t));
     }
     m.add_root(sp.s0(t.initial()));
-    m.trim()
+    m.trim(&BudgetHandle::unlimited())
+        .expect("unlimited budget")
 }
 
 /// The regular language of counter-examples: all trees on which `t` is not
 /// text-preserving (copying ∪ rearranging). By Theorem 3.3 this is exact
 /// for the admissible transductions of this paper.
 pub fn counterexample_language(t: &Transducer) -> Nta {
-    copying_nta(t).union(&rearranging_nta(t)).trim()
+    copying_nta(t)
+        .union(&rearranging_nta(t))
+        .trim(&BudgetHandle::unlimited())
+        .expect("unlimited budget")
 }
 
 /// The maximal sub-schema: the largest subset of `L(nta)` on which `t` is
 /// text-preserving, as an NTA (paper conclusion). Computed as
 /// `L(nta) ∖ counterexamples(t)`.
 pub fn maximal_subschema(t: &Transducer, nta: &Nta) -> Nta {
-    difference_nta(nta, &counterexample_language(t))
+    difference_nta(nta, &counterexample_language(t), &BudgetHandle::unlimited())
+        .expect("unlimited budget")
 }
 
 #[cfg(test)]
@@ -182,7 +188,9 @@ mod tests {
             samples::rearranging_example(&al),
         ] {
             let via_nfa = copying_witness(&t, &nta).is_some();
-            let via_nta = !copying_nta(&t).intersect(&nta).trim().is_empty();
+            let budget = BudgetHandle::unlimited();
+            let product = copying_nta(&t).intersect(&nta, &budget).unwrap();
+            let via_nta = !product.is_empty(&budget).unwrap();
             assert_eq!(via_nfa, via_nta);
         }
     }
@@ -192,7 +200,9 @@ mod tests {
         let al = recipe_alphabet();
         let nta = recipe_dtd(&al).to_nta();
         let t = samples::copying_example(&al);
-        let w = copying_nta(&t).intersect(&nta).trim().witness().unwrap();
+        let budget = BudgetHandle::unlimited();
+        let product = copying_nta(&t).intersect(&nta, &budget).unwrap();
+        let w = product.witness(&budget).unwrap().unwrap();
         assert!(nta.accepts(&w));
         assert!(semantic::copying_on(&t, &w));
     }
@@ -207,7 +217,9 @@ mod tests {
         let fig1 = tpx_trees::samples::recipe_tree(&mut al);
         assert!(max.accepts(&fig1));
         // And the difference schema ∖ max is empty.
-        assert!(tpx_treeauto::difference_nta(&nta, &max).is_empty());
+        let budget = BudgetHandle::unlimited();
+        let outside = difference_nta(&nta, &max, &budget).unwrap();
+        assert!(outside.is_empty(&budget).unwrap());
     }
 
     #[test]
@@ -234,7 +246,8 @@ mod tests {
         assert!(!is_text_preserving(&t, &nta).is_preserving());
         let max = maximal_subschema(&t, &nta);
         // …but is over the maximal sub-schema, which is non-trivial.
-        assert!(!max.is_empty());
+        let budget = BudgetHandle::unlimited();
+        assert!(!max.is_empty(&budget).unwrap());
         let mut al2 = al.clone();
         let inside = tpx_trees::term::parse_tree(r#"a("x" b)"#, &mut al2).unwrap();
         let outside = tpx_trees::term::parse_tree(r#"a("x" b("y"))"#, &mut al2).unwrap();
@@ -242,14 +255,14 @@ mod tests {
         assert!(max.accepts(&inside));
         assert!(!max.accepts(&outside));
         // Witnesses from the max sub-schema are preserved; semantic check.
-        let w = max.witness().unwrap();
+        let w = max.witness(&budget).unwrap().unwrap();
         assert!(semantic::text_preserving_on(
             &t,
             &Tree::from_hedge(tpx_trees::make_value_unique(w.as_hedge())).unwrap()
         ));
         // Maximality: schema trees outside max are counter-examples.
-        let outside_lang = tpx_treeauto::difference_nta(&nta, &max);
-        let cex = outside_lang.witness().unwrap();
+        let outside_lang = difference_nta(&nta, &max, &budget).unwrap();
+        let cex = outside_lang.witness(&budget).unwrap().unwrap();
         let cex_unique = Tree::from_hedge(tpx_trees::make_value_unique(cex.as_hedge())).unwrap();
         assert!(!semantic::text_preserving_on(&t, &cex_unique));
     }
@@ -296,6 +309,7 @@ mod tests {
         tb.rule("q0", "a", "a(q0)");
         tb.text_rule("q0");
         let t = tb.finish();
-        assert!(counterexample_language(&t).is_empty());
+        let ce = counterexample_language(&t);
+        assert!(ce.is_empty(&BudgetHandle::unlimited()).unwrap());
     }
 }

@@ -239,8 +239,12 @@ pub fn nta_to_nbta(nta: &Nta) -> Nbta<EncSym> {
 /// NTA states are triples `(λ, a, b)`: the node's label `λ`, the NBTA state
 /// `a` derived at its encoding position, and the NBTA state `b` derived at
 /// the encoding of its children hedge. Only triples justified by some NBTA
-/// rule `λ(b, y) → a` are materialized.
-pub fn nbta_to_nta(nbta: &Nbta<EncSym>, n_symbols: usize) -> Nta {
+/// rule `λ(b, y) → a` are materialized. The final trim charges `budget`.
+pub fn nbta_to_nta(
+    nbta: &Nbta<EncSym>,
+    n_symbols: usize,
+    budget: &BudgetHandle,
+) -> Result<Nta, BudgetExceeded> {
     let nil_states: Vec<State> = nbta.leaf_states(&EncSym::Nil).to_vec();
     let is_nil: Vec<bool> = {
         let mut v = vec![false; nbta.state_count()];
@@ -311,78 +315,31 @@ pub fn nbta_to_nta(nbta: &Nbta<EncSym>, n_symbols: usize) -> Nta {
             out.add_root(state_ids[&(l, a, b)]);
         }
     }
-    out.trim()
+    out.trim(budget)
 }
 
 /// The complement of `L(nta)` within all text trees over the same alphabet:
-/// encode → determinize → flip → decode.
+/// encode → determinize → flip → decode, charging the shared
+/// [`BudgetHandle`] through every encode/determinize/trim stage.
 ///
-/// This is the one derived operation that genuinely needs the determinized
-/// complement *as an automaton* (the result is returned to the caller), so
-/// it keeps the eager subset construction; the decision procedures below
-/// avoid it entirely via the lazy layer in [`crate::inclusion`].
-pub fn complement_nta(nta: &Nta) -> Nta {
-    try_complement_nta(nta, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`complement_nta`], charging the shared [`BudgetHandle`]
-/// through every encode/determinize/trim stage.
-pub fn try_complement_nta(nta: &Nta, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
-    let nbta = nta_to_nbta(nta).try_trim(budget)?;
+/// The result is returned to the caller as an automaton, so this keeps the
+/// eager subset construction.
+pub fn complement_nta(nta: &Nta, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
+    let nbta = nta_to_nbta(nta).trim(budget)?;
     let comp = nbta
-        .try_determinize(budget)?
+        .determinize(budget)?
         .complement()
         .to_nbta()
-        .try_trim(budget)?;
-    Ok(nbta_to_nta(&comp, nta.symbol_count()))
+        .trim(budget)?;
+    nbta_to_nta(&comp, nta.symbol_count(), budget)
 }
 
-/// Whether `L(n1) ⊆ L(n2)` (both over the same alphabet size) — decided
-/// lazily by [`Nbta::included_in`], never determinizing `n2`.
-pub fn subset_nta(n1: &Nta, n2: &Nta) -> bool {
-    try_subset_nta(n1, n2, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`subset_nta`].
-pub fn try_subset_nta(n1: &Nta, n2: &Nta, budget: &BudgetHandle) -> Result<bool, BudgetExceeded> {
-    let a1 = nta_to_nbta(n1).try_trim(budget)?;
-    let a2 = nta_to_nbta(n2).try_trim(budget)?;
-    a1.try_included_in(&a2, budget)
-}
-
-/// Whether `L(n1) = L(n2)`.
-pub fn language_equal(n1: &Nta, n2: &Nta) -> bool {
-    try_language_equal(n1, n2, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`language_equal`]: encodes and trims each automaton exactly
-/// once and runs both antichain inclusion passes over the shared NBTAs
-/// (the old route re-encoded and re-trimmed both sides per direction).
-pub fn try_language_equal(
-    n1: &Nta,
-    n2: &Nta,
-    budget: &BudgetHandle,
-) -> Result<bool, BudgetExceeded> {
-    let a1 = nta_to_nbta(n1).try_trim(budget)?;
-    let a2 = nta_to_nbta(n2).try_trim(budget)?;
-    Ok(a1.try_included_in(&a2, budget)? && a2.try_included_in(&a1, budget)?)
-}
-
-/// The difference `L(n1) ∖ L(n2)`.
-pub fn difference_nta(n1: &Nta, n2: &Nta) -> Nta {
-    try_difference_nta(n1, n2, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`difference_nta`]. Like [`complement_nta`] this returns an
-/// automaton, so the complement stays eager — but every stage charges the
-/// budget.
-pub fn try_difference_nta(
-    n1: &Nta,
-    n2: &Nta,
-    budget: &BudgetHandle,
-) -> Result<Nta, BudgetExceeded> {
-    let not2 = try_complement_nta(n2, budget)?;
-    n1.try_intersect(&not2, budget)?.try_trim(budget)
+/// The difference `L(n1) ∖ L(n2)`. Like [`complement_nta`] this returns an
+/// automaton (the maximal sub-schema of the paper's conclusion), so the
+/// complement stays eager — but every stage charges the budget.
+pub fn difference_nta(n1: &Nta, n2: &Nta, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
+    let not2 = complement_nta(n2, budget)?;
+    n1.intersect(&not2, budget)?.trim(budget)
 }
 
 #[cfg(test)]
@@ -394,6 +351,20 @@ mod tests {
 
     fn alpha() -> Alphabet {
         Alphabet::from_labels(["a", "b"])
+    }
+
+    /// Whether `L(n1) ⊆ L(n2)`, decided by emptiness of the eager
+    /// difference.
+    fn subset(n1: &Nta, n2: &Nta) -> bool {
+        let budget = BudgetHandle::unlimited();
+        difference_nta(n1, n2, &budget)
+            .unwrap()
+            .is_empty(&budget)
+            .unwrap()
+    }
+
+    fn equal(n1: &Nta, n2: &Nta) -> bool {
+        subset(n1, n2) && subset(n2, n1)
     }
 
     /// Root `a`, children `(b | text)*`, each `b` has exactly one text child.
@@ -435,7 +406,9 @@ mod tests {
     fn round_trip_preserves_language() {
         let mut al = alpha();
         let nta = simple_nta(&al);
-        let back = nbta_to_nta(&nta_to_nbta(&nta).trim(), al.len());
+        let budget = BudgetHandle::unlimited();
+        let trimmed = nta_to_nbta(&nta).trim(&budget).unwrap();
+        let back = nbta_to_nta(&trimmed, al.len(), &budget).unwrap();
         for src in SAMPLES {
             let t = parse_tree(src, &mut al).unwrap();
             assert_eq!(back.accepts(&t), nta.accepts(&t), "{src}");
@@ -446,7 +419,7 @@ mod tests {
     fn complement_flips_membership() {
         let mut al = alpha();
         let nta = simple_nta(&al);
-        let comp = complement_nta(&nta);
+        let comp = complement_nta(&nta, &BudgetHandle::unlimited()).unwrap();
         for src in SAMPLES {
             let t = parse_tree(src, &mut al).unwrap();
             assert_eq!(comp.accepts(&t), !nta.accepts(&t), "{src}");
@@ -457,8 +430,12 @@ mod tests {
     fn complement_witness_is_a_counterexample() {
         let al = alpha();
         let nta = simple_nta(&al);
-        let comp = complement_nta(&nta);
-        let w = comp.witness().expect("complement is non-empty");
+        let budget = BudgetHandle::unlimited();
+        let comp = complement_nta(&nta, &budget).unwrap();
+        let w = comp
+            .witness(&budget)
+            .unwrap()
+            .expect("complement is non-empty");
         assert!(!nta.accepts(&w));
     }
 
@@ -478,7 +455,7 @@ mod tests {
         b2.rule("pc", "b", "pc*");
         b2.text_rule("pc");
         let n2 = b2.finish();
-        let d = difference_nta(&n1, &n2);
+        let d = difference_nta(&n1, &n2, &BudgetHandle::unlimited()).unwrap();
         // In L1\L2: a with 0 or ≥2 text children.
         assert!(d.accepts(&parse_tree(r#"a"#, &mut al).unwrap()));
         assert!(d.accepts(&parse_tree(r#"a("x" "y")"#, &mut al).unwrap()));
@@ -496,16 +473,18 @@ mod tests {
         b2.rule("qa", "a", "qt*");
         b2.text_rule("qt");
         let restricted = b2.finish();
-        assert!(subset_nta(&restricted, &full));
-        assert!(!subset_nta(&full, &restricted));
-        assert!(!language_equal(&full, &restricted));
-        assert!(language_equal(&full, &full));
+        assert!(subset(&restricted, &full));
+        assert!(!subset(&full, &restricted));
+        assert!(!equal(&full, &restricted));
+        assert!(equal(&full, &full));
         // Round-tripping through the encoding preserves the language.
-        let back = nbta_to_nta(&nta_to_nbta(&full).trim(), al.len());
-        assert!(language_equal(&full, &back));
+        let budget = BudgetHandle::unlimited();
+        let trimmed = nta_to_nbta(&full).trim(&budget).unwrap();
+        let back = nbta_to_nta(&trimmed, al.len(), &budget).unwrap();
+        assert!(equal(&full, &back));
         // Double complement is the identity.
-        let cc = complement_nta(&complement_nta(&full));
-        assert!(language_equal(&full, &cc));
+        let cc = complement_nta(&complement_nta(&full, &budget).unwrap(), &budget).unwrap();
+        assert!(equal(&full, &cc));
     }
 
     #[test]
@@ -527,8 +506,9 @@ mod tests {
         b.rule("q0", "a", "qdead");
         b.rule("qdead", "a", "qdead");
         let empty = b.finish();
-        assert!(empty.is_empty());
-        let comp = complement_nta(&empty);
+        let budget = BudgetHandle::unlimited();
+        assert!(empty.is_empty(&budget).unwrap());
+        let comp = complement_nta(&empty, &budget).unwrap();
         let mut al2 = alpha();
         for src in ["a", "b", r#"a(b "x")"#] {
             assert!(comp.accepts(&parse_tree(src, &mut al2).unwrap()), "{src}");
@@ -562,7 +542,7 @@ mod tests {
                 let mut al = alpha();
                 let nta = simple_nta(&al);
                 let nbta = nta_to_nbta(&nta);
-                let comp = complement_nta(&nta);
+                let comp = complement_nta(&nta, &BudgetHandle::unlimited()).unwrap();
                 let t = parse_tree(&src, &mut al).unwrap();
                 let direct = nta.accepts(&t);
                 prop_assert_eq!(nbta.accepts(&encode_for_automata(&t)), direct);

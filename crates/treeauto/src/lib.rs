@@ -15,11 +15,14 @@
 //!   over encodings, plus the derived Boolean operations on unranked
 //!   regular tree languages (complement, difference) used for the maximal
 //!   sub-schema constructions (paper conclusion).
-//! * [`inclusion`] — the lazy decision layer: antichain-pruned inclusion
-//!   `Nbta::included_in` and early-exit product witness
-//!   `Nbta::intersect_witness` that never materialize the determinized
-//!   complement (DESIGN.md §13).
+//! * [`inclusion`] — the lazy emptiness test of a product,
+//!   `Nbta::intersect_witness`, which finds a common tree without building
+//!   the product automaton (DESIGN.md §13).
 //! * [`ranked`] — a small ranked-tree value type for NBTA witnesses.
+//!
+//! Every construction and decision procedure takes the caller's
+//! `BudgetHandle` and charges it; a caller without a budget passes
+//! `BudgetHandle::unlimited()`.
 
 pub mod convert;
 pub mod inclusion;
@@ -27,10 +30,7 @@ pub mod nbta;
 pub mod nta;
 pub mod ranked;
 
-pub use convert::{
-    complement_nta, difference_nta, language_equal, nbta_to_nta, nta_to_nbta, subset_nta,
-    try_complement_nta, try_difference_nta, try_language_equal, try_subset_nta, EncSym,
-};
+pub use convert::{complement_nta, difference_nta, nbta_to_nta, nta_to_nbta, EncSym};
 pub use nbta::{Dbta, Nbta};
 pub use nta::{Nta, NtaBuilder, Run, State};
 pub use ranked::RankedTree;

@@ -10,7 +10,7 @@
 
 use crate::nta::State;
 use crate::ranked::RankedTree;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 
@@ -144,15 +144,9 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
         self.eval(t).iter().any(|&q| self.is_final(q))
     }
 
-    /// States derivable by *some* tree.
-    pub fn derivable_states(&self) -> Vec<bool> {
-        self.try_derivable_states(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::derivable_states`]: charges one fuel unit per rule
+    /// States derivable by *some* tree. Charges one fuel unit per rule
     /// scanned per saturation round.
-    pub fn try_derivable_states(&self, budget: &BudgetHandle) -> Result<Vec<bool>, BudgetExceeded> {
+    fn derivable_states(&self, budget: &BudgetHandle) -> Result<Vec<bool>, BudgetExceeded> {
         let mut derivable = vec![false; self.n_states];
         let mut queue: VecDeque<State> = VecDeque::new();
         for states in self.leaf_rules.values() {
@@ -184,34 +178,17 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     }
 
     /// Whether `L(B) = ∅`.
-    pub fn is_empty(&self) -> bool {
-        let derivable = self.derivable_states();
-        !self
-            .states()
-            .any(|q| self.is_final(q) && derivable[q.index()])
-    }
-
-    /// Budgeted [`Self::is_empty`].
-    pub fn try_is_empty(&self, budget: &BudgetHandle) -> Result<bool, BudgetExceeded> {
-        let derivable = self.try_derivable_states(budget)?;
+    pub fn is_empty(&self, budget: &BudgetHandle) -> Result<bool, BudgetExceeded> {
+        let derivable = self.derivable_states(budget)?;
         Ok(!self
             .states()
             .any(|q| self.is_final(q) && derivable[q.index()]))
     }
 
     /// A witness tree, if the language is non-empty (small, not necessarily
-    /// minimal).
-    pub fn witness(&self) -> Option<RankedTree<L>> {
-        self.try_witness(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::witness`]: charges one fuel unit per rule scanned
-    /// per saturation round.
-    pub fn try_witness(
-        &self,
-        budget: &BudgetHandle,
-    ) -> Result<Option<RankedTree<L>>, BudgetExceeded> {
+    /// minimal). Charges one fuel unit per rule scanned per saturation
+    /// round.
+    pub fn witness(&self, budget: &BudgetHandle) -> Result<Option<RankedTree<L>>, BudgetExceeded> {
         #[derive(Clone)]
         enum Recipe<L> {
             Leaf(L),
@@ -264,15 +241,10 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     ///
     /// Built on the fly over *derivable* state pairs only, so the cost is
     /// bounded by the reachable product, not `|Q₁|·|Q₂|` — essential for
-    /// the long intersection chains in the Section 5.3 deciders.
-    pub fn intersect(&self, other: &Nbta<L>) -> Nbta<L> {
-        self.try_intersect(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::intersect`]: charges one fuel unit per discovered
-    /// product state and per product rule constructed.
-    pub fn try_intersect(
+    /// the long intersection chains in the Section 5.3 deciders. Charges
+    /// one fuel unit per discovered product state and per product rule
+    /// constructed.
+    pub fn intersect(
         &self,
         other: &Nbta<L>,
         budget: &BudgetHandle,
@@ -399,44 +371,37 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
         out
     }
 
-    /// Relabels symbols through `f` (used for MSO projection `∃X`: dropping
-    /// a variable bit). The result is nondeterministic even if `self` was
-    /// obtained from a DBTA.
-    pub fn map_symbols<M: Clone + Eq + Hash>(&self, f: impl Fn(&L) -> M) -> Nbta<M> {
-        let mut leaf_alpha = Vec::new();
-        let mut seen = HashSet::new();
-        for l in &self.leaf_alphabet {
-            let m = f(l);
-            if seen.insert(m.clone()) {
-                leaf_alpha.push(m);
-            }
-        }
-        let mut internal_alpha = Vec::new();
-        let mut seen = HashSet::new();
-        for l in &self.internal_alphabet {
-            let m = f(l);
-            if seen.insert(m.clone()) {
-                internal_alpha.push(m);
-            }
-        }
-        let mut out = Nbta::new(leaf_alpha, internal_alpha);
-        for _ in 0..self.n_states {
-            out.add_state();
-        }
-        for q in self.states() {
-            out.set_final(q, self.is_final(q));
-        }
+    /// Copies the automaton onto the given alphabets, relabelling every
+    /// rule's symbol through `f` — MSO projection `∃X` (dropping a variable
+    /// bit) and the bit strip of a compiled sentence. The alphabets must
+    /// contain the image of every symbol with a rule. The result is
+    /// nondeterministic even if `self` was obtained from a DBTA. Charges one
+    /// fuel unit per rule copied.
+    pub fn relabel<M: Clone + Eq + Hash>(
+        &self,
+        leaf_alphabet: Vec<M>,
+        internal_alphabet: Vec<M>,
+        f: impl Fn(&L) -> M,
+        budget: &BudgetHandle,
+    ) -> Result<Nbta<M>, BudgetExceeded> {
+        let mut out = Nbta::new(leaf_alphabet, internal_alphabet);
+        out.n_states = self.n_states;
+        out.finals = self.finals.clone();
         for (l, states) in &self.leaf_rules {
+            budget.charge(states.len() as u64)?;
+            let m = f(l);
             for &q in states {
-                out.add_leaf_rule(f(l), q);
+                out.add_leaf_rule(m.clone(), q);
             }
         }
         for ((l, q1, q2), outs) in &self.rules {
+            budget.charge(outs.len() as u64)?;
+            let m = f(l);
             for &q in outs {
-                out.add_rule(f(l), *q1, *q2, q);
+                out.add_rule(m.clone(), *q1, *q2, q);
             }
         }
-        out
+        Ok(out)
     }
 
     /// Inverse relabelling (MSO cylindrification): builds an automaton over
@@ -476,16 +441,10 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
 
     /// Removes states that are not derivable or cannot contribute to an
     /// accepting run. Language-preserving; crucial for keeping the MSO
-    /// pipeline small.
-    pub fn trim(&self) -> Nbta<L> {
-        self.try_trim(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::trim`]: charges one fuel unit per rule scanned per
+    /// pipeline small. Charges one fuel unit per rule scanned per
     /// saturation round plus one per surviving rule rebuilt.
-    pub fn try_trim(&self, budget: &BudgetHandle) -> Result<Nbta<L>, BudgetExceeded> {
-        let derivable = self.try_derivable_states(budget)?;
+    pub fn trim(&self, budget: &BudgetHandle) -> Result<Nbta<L>, BudgetExceeded> {
+        let derivable = self.derivable_states(budget)?;
         // Co-derivability: q useful if final, or appears as operand of a rule
         // with useful output and derivable sibling.
         let mut useful: Vec<bool> = self
@@ -552,16 +511,10 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     }
 
     /// Subset construction: a complete deterministic automaton over the same
-    /// alphabets.
-    pub fn determinize(&self) -> Dbta<L> {
-        self.try_determinize(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::determinize`]: charges one fuel unit per transition
-    /// of the subset automaton — the construction is the workspace's one
-    /// truly exponential site, so this is where a budget matters most.
-    pub fn try_determinize(&self, budget: &BudgetHandle) -> Result<Dbta<L>, BudgetExceeded> {
+    /// alphabets. Charges one fuel unit per transition of the subset
+    /// automaton — the construction is the workspace's one truly
+    /// exponential site, so this is where a budget matters most.
+    pub fn determinize(&self, budget: &BudgetHandle) -> Result<Dbta<L>, BudgetExceeded> {
         // Group rules by symbol for the inner loop, and use bitsets for
         // class membership.
         let words = self.n_states.div_ceil(64).max(1);
@@ -742,102 +695,6 @@ impl<L: Clone + Eq + Hash> Dbta<L> {
     }
 
     /// Converts back to a nondeterministic automaton.
-    /// Moore-style minimization: merges language-equivalent states. The
-    /// result is again complete and deterministic, restricted to states
-    /// reachable from some tree.
-    pub fn minimize(&self) -> Dbta<L> {
-        // Reachable states (derivable by some tree).
-        let mut reach: Vec<bool> = vec![false; self.n_classes];
-        let mut order: Vec<u32> = Vec::new();
-        for &c in self.leaf_map.values() {
-            if !reach[c as usize] {
-                reach[c as usize] = true;
-                order.push(c);
-            }
-        }
-        loop {
-            let mut changed = false;
-            for ((_, c1, c2), &c) in &self.trans {
-                if reach[*c1 as usize] && reach[*c2 as usize] && !reach[c as usize] {
-                    reach[c as usize] = true;
-                    order.push(c);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // Partition refinement over reachable states: signature = final flag
-        // plus, per (symbol, partner, side), the partner's current class.
-        let members: Vec<u32> = order;
-        let mut part: HashMap<u32, u32> = members
-            .iter()
-            .map(|&c| (c, u32::from(self.finals[c as usize])))
-            .collect();
-        loop {
-            let mut sigs: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
-            let mut next: HashMap<u32, u32> = HashMap::new();
-            for &c in &members {
-                let mut sig: Vec<u32> = Vec::new();
-                for l in &self.internal_alphabet {
-                    for &d in &members {
-                        let left = self.trans.get(&(l.clone(), c, d)).copied();
-                        let right = self.trans.get(&(l.clone(), d, c)).copied();
-                        sig.push(left.map_or(u32::MAX, |x| {
-                            if reach[x as usize] {
-                                part[&x]
-                            } else {
-                                u32::MAX
-                            }
-                        }));
-                        sig.push(right.map_or(u32::MAX, |x| {
-                            if reach[x as usize] {
-                                part[&x]
-                            } else {
-                                u32::MAX
-                            }
-                        }));
-                    }
-                }
-                let fresh = sigs.len() as u32;
-                let id = *sigs.entry((part[&c], sig)).or_insert(fresh);
-                next.insert(c, id);
-            }
-            if next == part {
-                break;
-            }
-            part = next;
-        }
-        let n_new = part.values().copied().max().map_or(0, |m| m as usize + 1);
-        let mut finals = vec![false; n_new];
-        let mut leaf_map = HashMap::new();
-        for (l, &c) in &self.leaf_map {
-            leaf_map.insert(l.clone(), part[&c]);
-        }
-        let mut trans = HashMap::new();
-        for &c in &members {
-            finals[part[&c] as usize] = self.finals[c as usize];
-            for l in &self.internal_alphabet {
-                for &d in &members {
-                    if let Some(&x) = self.trans.get(&(l.clone(), c, d)) {
-                        if reach[x as usize] {
-                            trans.insert((l.clone(), part[&c], part[&d]), part[&x]);
-                        }
-                    }
-                }
-            }
-        }
-        Dbta {
-            leaf_alphabet: self.leaf_alphabet.clone(),
-            internal_alphabet: self.internal_alphabet.clone(),
-            n_classes: n_new,
-            leaf_map,
-            trans,
-            finals,
-        }
-    }
-
     pub fn to_nbta(&self) -> Nbta<L> {
         let mut out = Nbta::new(self.leaf_alphabet.clone(), self.internal_alphabet.clone());
         for _ in 0..self.n_classes {
@@ -907,8 +764,9 @@ mod tests {
     #[test]
     fn emptiness_and_witness() {
         let m = contains_a();
-        assert!(!m.is_empty());
-        let w = m.witness().unwrap();
+        let budget = BudgetHandle::unlimited();
+        assert!(!m.is_empty(&budget).unwrap());
+        let w = m.witness(&budget).unwrap().unwrap();
         assert!(m.accepts(&w));
 
         let mut empty = Nbta::new(vec!['#'], vec!['a']);
@@ -917,14 +775,14 @@ mod tests {
         empty.set_final(f, true);
         empty.add_leaf_rule('#', q);
         // No rule ever produces f.
-        assert!(empty.is_empty());
-        assert!(empty.witness().is_none());
+        assert!(empty.is_empty(&budget).unwrap());
+        assert!(empty.witness(&budget).unwrap().is_none());
     }
 
     #[test]
     fn determinize_complement() {
         let m = contains_a();
-        let d = m.determinize();
+        let d = m.determinize(&BudgetHandle::unlimited()).unwrap();
         let c = d.complement();
         let samples = [
             leaf(),
@@ -956,7 +814,7 @@ mod tests {
             m2.add_rule(l, any, any, any);
         }
         m2.add_rule('b', any, any, rootb);
-        let i = m1.intersect(&m2);
+        let i = m1.intersect(&m2, &BudgetHandle::unlimited()).unwrap();
         let u = m1.union(&m2);
         let t_yes = node('b', node('a', leaf(), leaf()), leaf());
         let t_only1 = node('a', leaf(), leaf());
@@ -976,7 +834,7 @@ mod tests {
         // Add junk states.
         let dead = m.add_state();
         m.add_rule('a', dead, dead, dead);
-        let trimmed = m.trim();
+        let trimmed = m.trim(&BudgetHandle::unlimited()).unwrap();
         assert!(trimmed.state_count() <= 2);
         for t in [
             leaf(),
@@ -993,7 +851,14 @@ mod tests {
         // Project 'a' and 'b' to a single symbol 'x': language becomes
         // "some projected tree containing a"; since both map to 'x', the
         // projected automaton accepts any 'x'-tree with ≥ 1 internal node.
-        let p = m.map_symbols(|&c| if c == '#' { '#' } else { 'x' });
+        let p = m
+            .relabel(
+                vec!['#'],
+                vec!['x'],
+                |&c| if c == '#' { '#' } else { 'x' },
+                &BudgetHandle::unlimited(),
+            )
+            .unwrap();
         assert!(p.accepts(&node('x', RankedTree::Leaf('#'), RankedTree::Leaf('#'))));
         assert!(!p.accepts(&RankedTree::Leaf('#')));
         // Inverse map: interpret 'A' and 'a' both as 'a', 'B' as 'b'.
@@ -1005,55 +870,34 @@ mod tests {
     }
 
     #[test]
-    fn minimize_preserves_language_and_shrinks() {
-        let m = contains_a();
-        // Pad with redundant structure: union with itself.
-        let padded = m.union(&contains_a());
-        let d = padded.determinize();
-        let mini = d.minimize();
-        assert!(mini.state_count() <= d.state_count());
-        for t in [
-            leaf(),
-            node('a', leaf(), leaf()),
-            node('b', leaf(), leaf()),
-            node('b', node('a', leaf(), leaf()), node('b', leaf(), leaf())),
-        ] {
-            assert_eq!(mini.accepts(&t), d.accepts(&t));
-        }
-        // `contains_a` needs exactly 2 reachable classes.
-        assert_eq!(mini.state_count(), 2);
-    }
-
-    #[test]
-    fn minimize_of_complement_is_minimal_too() {
-        let d = contains_a().determinize();
-        let c = d.complement().minimize();
-        assert!(c.accepts(&leaf()));
-        assert!(!c.accepts(&node('a', leaf(), leaf())));
-        assert_eq!(c.state_count(), 2);
-    }
-
-    #[test]
     fn budgeted_ops_match_unbudgeted_and_fail_on_zero_fuel() {
         use tpx_trees::budget::{Budget, ExhaustReason};
         let m = contains_a();
-        // Generous budget: identical results.
+        let unlimited = BudgetHandle::unlimited();
+        // Generous budget: the same results as an unlimited one.
         let b = Budget::default().with_fuel(1_000_000).start();
-        let i = m.try_intersect(&contains_a(), &b).unwrap();
-        assert_eq!(i.state_count(), m.intersect(&contains_a()).state_count());
-        let d = m.try_determinize(&b).unwrap();
-        assert_eq!(d.state_count(), m.determinize().state_count());
-        assert_eq!(m.try_is_empty(&b).unwrap(), m.is_empty());
-        assert!(m.try_witness(&b).unwrap().is_some());
+        let i = m.intersect(&contains_a(), &b).unwrap();
+        let i_unlimited = m.intersect(&contains_a(), &unlimited).unwrap();
+        assert_eq!(i.state_count(), i_unlimited.state_count());
+        let d = m.determinize(&b).unwrap();
+        assert_eq!(
+            d.state_count(),
+            m.determinize(&unlimited).unwrap().state_count()
+        );
+        assert!(!m.is_empty(&b).unwrap());
+        assert!(m.witness(&b).unwrap().is_some());
         assert!(b.fuel_spent() > 0, "the ops must charge fuel");
         // Zero fuel: every op fails fast with a Fuel exhaustion.
         let z = Budget::default().with_fuel(0).start();
         for err in [
-            m.try_intersect(&contains_a(), &z).unwrap_err(),
-            m.try_determinize(&z).map(|_| ()).unwrap_err(),
-            m.try_trim(&z).map(|_| ()).unwrap_err(),
-            m.try_is_empty(&z).map(|_| ()).unwrap_err(),
-            m.try_witness(&z).map(|_| ()).unwrap_err(),
+            m.intersect(&contains_a(), &z).map(|_| ()).unwrap_err(),
+            m.determinize(&z).map(|_| ()).unwrap_err(),
+            m.trim(&z).map(|_| ()).unwrap_err(),
+            m.is_empty(&z).map(|_| ()).unwrap_err(),
+            m.witness(&z).map(|_| ()).unwrap_err(),
+            m.relabel(vec!['#'], vec!['a', 'b'], |&c| c, &z)
+                .map(|_| ())
+                .unwrap_err(),
         ] {
             assert_eq!(err.reason, ExhaustReason::Fuel);
         }
@@ -1064,7 +908,7 @@ mod tests {
         // Automaton with NO rules still evaluates every tree (to the empty
         // class) after determinization.
         let m: Nbta<char> = Nbta::new(vec!['#'], vec!['a']);
-        let d = m.determinize();
+        let d = m.determinize(&BudgetHandle::unlimited()).unwrap();
         assert!(!d.accepts(&leaf()));
         assert!(!d.accepts(&node('a', leaf(), leaf())));
         // And its complement accepts everything.

@@ -194,26 +194,14 @@ impl Nta {
     }
 
     /// Whether `L(N) = ∅`.
-    pub fn is_empty(&self) -> bool {
-        let inhabited = self.inhabited_states();
-        !self.roots.iter().any(|q| inhabited[q.index()])
-    }
-
-    /// Budgeted [`Self::is_empty`].
-    pub fn try_is_empty(&self, budget: &BudgetHandle) -> Result<bool, BudgetExceeded> {
-        let inhabited = self.try_inhabited_states(budget)?;
+    pub fn is_empty(&self, budget: &BudgetHandle) -> Result<bool, BudgetExceeded> {
+        let inhabited = self.inhabited_states(budget)?;
         Ok(!self.roots.iter().any(|q| inhabited[q.index()]))
     }
 
-    /// The states `q` with a non-empty language (some tree evaluates to `q`).
-    pub fn inhabited_states(&self) -> Vec<bool> {
-        self.try_inhabited_states(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::inhabited_states`]: charges one fuel unit per state
-    /// scanned per saturation round.
-    pub fn try_inhabited_states(&self, budget: &BudgetHandle) -> Result<Vec<bool>, BudgetExceeded> {
+    /// The states `q` with a non-empty language (some tree evaluates to
+    /// `q`). Charges one fuel unit per state scanned per saturation round.
+    pub fn inhabited_states(&self, budget: &BudgetHandle) -> Result<Vec<bool>, BudgetExceeded> {
         let n = self.state_count();
         let mut inhabited = vec![false; n];
         loop {
@@ -241,14 +229,8 @@ impl Nta {
 
     /// A witness tree in `L(N)`, if the language is non-empty. Text leaves in
     /// the witness carry placeholder values (`τ0, τ1, …` left to right).
-    pub fn witness(&self) -> Option<Tree> {
-        self.try_witness(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::witness`]: charges one fuel unit per state scanned
-    /// per saturation round.
-    pub fn try_witness(&self, budget: &BudgetHandle) -> Result<Option<Tree>, BudgetExceeded> {
+    /// Charges one fuel unit per state scanned per saturation round.
+    pub fn witness(&self, budget: &BudgetHandle) -> Result<Option<Tree>, BudgetExceeded> {
         let n = self.state_count();
         // recipe[q] = how to build a tree evaluating to q.
         let mut recipe: Vec<Option<Recipe>> = vec![None; n];
@@ -305,15 +287,10 @@ impl Nta {
     }
 
     /// Product automaton accepting `L(self) ∩ L(other)`. Both automata must
-    /// be over the same alphabet size.
-    pub fn intersect(&self, other: &Nta) -> Nta {
-        self.try_intersect(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::intersect`]: charges one fuel unit per product state
-    /// constructed (the product is built over the full `|Q₁|·|Q₂|` grid).
-    pub fn try_intersect(&self, other: &Nta, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
+    /// be over the same alphabet size. Charges one fuel unit per product
+    /// state constructed (the product is built over the full `|Q₁|·|Q₂|`
+    /// grid).
+    pub fn intersect(&self, other: &Nta, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
         assert_eq!(
             self.n_symbols, other.n_symbols,
             "intersection requires equal alphabets"
@@ -374,16 +351,11 @@ impl Nta {
     }
 
     /// Removes states that are not inhabited or not reachable from a root,
-    /// trimming content models accordingly. Language-preserving.
-    pub fn trim(&self) -> Nta {
-        self.try_trim(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::trim`]: charges through the inhabitation saturation
-    /// plus one fuel unit per surviving state rebuilt.
-    pub fn try_trim(&self, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
-        let inhabited = self.try_inhabited_states(budget)?;
+    /// trimming content models accordingly. Language-preserving. Charges
+    /// through the inhabitation saturation plus one fuel unit per surviving
+    /// state rebuilt.
+    pub fn trim(&self, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
+        let inhabited = self.inhabited_states(budget)?;
         // Top-down reachability over inhabited states.
         let n = self.state_count();
         let mut reach = vec![false; n];
@@ -927,8 +899,9 @@ mod tests {
     fn emptiness_and_witness() {
         let al = alpha();
         let nta = simple_nta(&al);
-        assert!(!nta.is_empty());
-        let w = nta.witness().unwrap();
+        let budget = BudgetHandle::unlimited();
+        assert!(!nta.is_empty(&budget).unwrap());
+        let w = nta.witness(&budget).unwrap().unwrap();
         assert!(nta.accepts(&w));
 
         // An automaton whose only rule requires an uninhabited state.
@@ -937,8 +910,8 @@ mod tests {
         b.rule("q0", "a", "qdead");
         b.rule("qdead", "b", "qdead");
         let empty = b.finish();
-        assert!(empty.is_empty());
-        assert!(empty.witness().is_none());
+        assert!(empty.is_empty(&budget).unwrap());
+        assert!(empty.witness(&budget).unwrap().is_none());
     }
 
     #[test]
@@ -957,7 +930,7 @@ mod tests {
         b2.rule("px", "b", "%eps");
         b2.text_rule("px");
         let n2 = b2.finish();
-        let i = n1.intersect(&n2);
+        let i = n1.intersect(&n2, &BudgetHandle::unlimited()).unwrap();
         let yes = parse_tree(r#"a("x" "y")"#, &mut al).unwrap();
         let no1 = parse_tree(r#"a("x")"#, &mut al).unwrap();
         let no2 = parse_tree(r#"a(b b)"#, &mut al).unwrap();
@@ -995,7 +968,7 @@ mod tests {
         b.rule("qunreach", "c", "%eps"); // unreachable
         b.text_rule("qt");
         let nta = b.finish();
-        let trimmed = nta.trim();
+        let trimmed = nta.trim(&BudgetHandle::unlimited()).unwrap();
         assert!(trimmed.state_count() < nta.state_count());
         for src in [r#"a"#, r#"a("x" "y")"#, r#"a(b)"#, r#"c"#] {
             let t = parse_tree(src, &mut al).unwrap();

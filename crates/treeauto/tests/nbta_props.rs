@@ -9,6 +9,7 @@
 //! pairs, and failures print the offending seed for replay.
 
 use tpx_treeauto::{Nbta, RankedTree, State};
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::rng::SplitMix64;
 
 type T = RankedTree<char>;
@@ -66,22 +67,11 @@ fn pairs(cases: usize) -> impl Iterator<Item = (u64, Nbta<char>, T)> {
 #[test]
 fn determinize_and_complement() {
     for (seed, m, t) in pairs(200) {
-        let d = m.determinize();
+        let d = m.determinize(&BudgetHandle::unlimited()).unwrap();
         assert_eq!(d.accepts(&t), m.accepts(&t), "seed {seed}");
         assert_eq!(d.complement().accepts(&t), !m.accepts(&t), "seed {seed}");
         // Round trip through NBTA.
         assert_eq!(d.to_nbta().accepts(&t), m.accepts(&t), "seed {seed}");
-    }
-}
-
-/// Minimization preserves the language and never grows.
-#[test]
-fn minimize_preserves() {
-    for (seed, m, t) in pairs(200) {
-        let d = m.determinize();
-        let mini = d.minimize();
-        assert!(mini.state_count() <= d.state_count(), "seed {seed}");
-        assert_eq!(mini.accepts(&t), d.accepts(&t), "seed {seed}");
     }
 }
 
@@ -91,7 +81,8 @@ fn boolean_ops() {
     for (seed, m1, t) in pairs(200) {
         let mut rng = SplitMix64::new(seed.wrapping_add(0xB0B0));
         let m2 = random_nbta(&mut rng);
-        let i = m1.intersect(&m2);
+        let budget = BudgetHandle::unlimited();
+        let i = m1.intersect(&m2, &budget).unwrap();
         assert_eq!(
             i.accepts(&t),
             m1.accepts(&t) && m2.accepts(&t),
@@ -103,20 +94,23 @@ fn boolean_ops() {
             m1.accepts(&t) || m2.accepts(&t),
             "seed {seed}"
         );
-        assert_eq!(m1.trim().accepts(&t), m1.accepts(&t), "seed {seed}");
+        let trimmed = m1.trim(&budget).unwrap();
+        assert_eq!(trimmed.accepts(&t), m1.accepts(&t), "seed {seed}");
     }
 }
 
 /// Emptiness agrees with witness extraction, and witnesses are members.
 #[test]
 fn emptiness_and_witness() {
+    let budget = BudgetHandle::unlimited();
     for (seed, m, _) in pairs(300) {
-        match m.witness() {
+        let empty = m.is_empty(&budget).unwrap();
+        match m.witness(&budget).unwrap() {
             Some(w) => {
-                assert!(!m.is_empty(), "seed {seed}");
+                assert!(!empty, "seed {seed}");
                 assert!(m.accepts(&w), "seed {seed}");
             }
-            None => assert!(m.is_empty(), "seed {seed}"),
+            None => assert!(empty, "seed {seed}"),
         }
     }
 }
@@ -127,12 +121,13 @@ fn de_morgan() {
     for (seed, m1, t) in pairs(150) {
         let mut rng = SplitMix64::new(seed.wrapping_add(0xDEAD));
         let m2 = random_nbta(&mut rng);
-        let lhs = m1.union(&m2).determinize().complement();
-        let rhs = m1
-            .determinize()
-            .complement()
+        let budget = BudgetHandle::unlimited();
+        let not = |m: &Nbta<char>| m.determinize(&budget).unwrap().complement();
+        let lhs = not(&m1.union(&m2));
+        let rhs = not(&m1)
             .to_nbta()
-            .intersect(&m2.determinize().complement().to_nbta());
+            .intersect(&not(&m2).to_nbta(), &budget)
+            .unwrap();
         assert_eq!(lhs.accepts(&t), rhs.accepts(&t), "seed {seed}");
     }
 }

@@ -3,6 +3,7 @@
 
 use tpx_schema::{Dtd, DtdBuilder};
 use tpx_treeauto::Nta;
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::rng::SplitMix64;
 use tpx_trees::Alphabet;
 
@@ -88,9 +89,10 @@ pub fn random_dtd(n_labels: usize, seed: u64) -> RandomSchema {
     assert!(n_labels >= 1);
     let alpha = crate::transducers::plain_alphabet(n_labels);
     let mut rng = SplitMix64::new(seed);
+    let unlimited = BudgetHandle::unlimited();
     for _ in 0..16 {
         let schema = roll_dtd(&alpha, n_labels, &mut rng);
-        if !schema.nta().is_empty() {
+        if !schema.nta().is_empty(&unlimited).expect("unlimited budget") {
             return schema;
         }
     }
@@ -144,8 +146,9 @@ mod tests {
     #[test]
     fn chain_schema_has_single_witness_shape() {
         let (_, nta) = chain_schema(5);
-        assert!(!nta.is_empty());
-        let w = nta.witness().unwrap();
+        let budget = BudgetHandle::unlimited();
+        assert!(!nta.is_empty(&budget).unwrap());
+        let w = nta.witness(&budget).unwrap().unwrap();
         assert_eq!(w.node_count(), 6); // 5 elements + text leaf
     }
 
@@ -178,7 +181,8 @@ mod tests {
             assert_eq!(s1.decls, s2.decls, "seed {seed}");
             assert_eq!(s1.starts, s2.starts, "seed {seed}");
             let nta = s1.nta();
-            assert!(!nta.is_empty(), "seed {seed}: empty language");
+            let empty = nta.is_empty(&BudgetHandle::unlimited()).unwrap();
+            assert!(!empty, "seed {seed}: empty language");
             let t = random_schema_tree(&nta, 15, seed).unwrap();
             assert!(nta.accepts(&t), "seed {seed}");
             assert!(s1.dtd().validates(&t), "seed {seed}");

@@ -6,6 +6,7 @@
 //! Run with: `cargo run --example maximal_subschema`
 
 use textpres::prelude::*;
+use textpres::trees::budget::BudgetHandle;
 
 fn main() {
     // Σ = {article, body, footnote}; articles contain text and footnotes,
@@ -60,16 +61,24 @@ fn main() {
     );
     assert!(max.accepts(&inside) && !max.accepts(&outside));
 
-    // Witnesses from both sides, checked semantically.
-    let good = max.witness().expect("sub-schema is non-empty");
+    // Witnesses from both sides, checked semantically. These
+    // constructions run without a resource limit.
+    let budget = BudgetHandle::unlimited();
+    let good = max
+        .witness(&budget)
+        .expect("unlimited budget")
+        .expect("sub-schema is non-empty");
     println!(
         "\nsample document from the sub-schema: {}",
         good.display(&sigma)
     );
     assert!(tpx_topdown::semantic::text_preserving_on(&t, &good));
 
-    let carved = tpx_treeauto::difference_nta(&schema, &max);
-    let bad = carved.witness().expect("something was carved out");
+    let carved = tpx_treeauto::difference_nta(&schema, &max, &budget).expect("unlimited budget");
+    let bad = carved
+        .witness(&budget)
+        .expect("unlimited budget")
+        .expect("something was carved out");
     println!(
         "sample carved-out document:          {}",
         bad.display(&sigma)

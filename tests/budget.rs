@@ -12,9 +12,8 @@ use textpres::engine::{
 };
 use textpres::format::parse_case;
 use textpres::prelude::{Alphabet, DtlBuilder, NtaBuilder};
-use textpres::treeauto::{
-    complement_nta, difference_nta, language_equal, try_complement_nta, try_difference_nta, Nta,
-};
+use textpres::treeauto::{complement_nta, difference_nta, Nta};
+use textpres::trees::budget::BudgetHandle;
 
 fn corpus() -> Vec<(String, String)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/regressions");
@@ -147,12 +146,24 @@ fn generous_budget_is_inert_for_dtl() {
     assert_budget_inert(&DtlDecider::new(&dropping), &uni, &options, "dtl/dropping");
 }
 
+/// `L(a) = L(b)`, decided by emptiness of the eager difference in both
+/// directions.
+fn same_language(a: &Nta, b: &Nta) -> bool {
+    let unlimited = BudgetHandle::unlimited();
+    let empty = |x: &Nta, y: &Nta| {
+        let d = difference_nta(x, y, &unlimited).expect("unlimited budget");
+        d.is_empty(&unlimited).expect("unlimited budget")
+    };
+    empty(a, b) && empty(b, a)
+}
+
 #[test]
 fn generous_budget_is_inert_for_treeauto_set_ops() {
-    // The governed automata-level ops (complement / difference) must be
-    // language-identical to their ungoverned twins under generous fuel,
-    // and exhaust immediately under none. Corpus schemas keep the shapes
+    // The automata-level ops (complement / difference) must build the same
+    // language under generous fuel as under an unlimited budget, and
+    // exhaust immediately under none. Corpus schemas keep the shapes
     // honest — these are the automata the lazy decision layer feeds on.
+    let unlimited = BudgetHandle::unlimited();
     let generous = textpres::trees::budget::Budget::default()
         .with_fuel(200_000_000)
         .start();
@@ -165,26 +176,26 @@ fn generous_budget_is_inert_for_treeauto_set_ops() {
         schemas.push((path, rc.case.schema_nta()));
     }
     for (path, nta) in &schemas {
-        let plain = complement_nta(nta);
-        let governed = try_complement_nta(nta, &generous)
+        let plain = complement_nta(nta, &unlimited).expect("unlimited budget");
+        let governed = complement_nta(nta, &generous)
             .unwrap_or_else(|e| panic!("{path}: generous complement exhausted: {e}"));
         assert!(
-            language_equal(&plain, &governed),
+            same_language(&plain, &governed),
             "{path}: budget changed the complement language"
         );
         assert!(
-            try_complement_nta(nta, &zero).is_err(),
+            complement_nta(nta, &zero).is_err(),
             "{path}: zero fuel must exhaust the complement"
         );
     }
     // Difference over a corpus pair: same inertness contract.
     let (p1, n1) = &schemas[0];
     let (p2, n2) = &schemas[schemas.len() - 1];
-    let plain = difference_nta(n1, n2);
-    let governed = try_difference_nta(n1, n2, &generous)
+    let plain = difference_nta(n1, n2, &unlimited).expect("unlimited budget");
+    let governed = difference_nta(n1, n2, &generous)
         .unwrap_or_else(|e| panic!("{p1} \\ {p2}: generous difference exhausted: {e}"));
     assert!(
-        language_equal(&plain, &governed),
+        same_language(&plain, &governed),
         "{p1} \\ {p2}: budget changed the difference language"
     );
     assert!(generous.fuel_spent() > 0, "governed ops must account fuel");

@@ -83,10 +83,11 @@ fn copying_nfa_route_agrees_with_nta_route() {
     for seed in 0..60 {
         let t = tpx_workload::transducers::random_transducer(&alpha, 2, 0.7, seed);
         let via_nfa = tpx_topdown::decide::copying_witness(&t, &schema).is_some();
-        let via_nta = !tpx_topdown::subschema::copying_nta(&t)
-            .intersect(&schema)
-            .trim()
-            .is_empty();
+        let budget = tpx_trees::budget::BudgetHandle::unlimited();
+        let product = tpx_topdown::subschema::copying_nta(&t)
+            .intersect(&schema, &budget)
+            .unwrap();
+        let via_nta = !product.is_empty(&budget).unwrap();
         assert_eq!(via_nfa, via_nta, "seed {seed}");
     }
 }

@@ -98,8 +98,12 @@ fn maximal_subschema_is_sound_and_maximal_on_samples() {
     }
     assert!(found >= 10, "sub-schema should be richly inhabited");
     // Maximality: everything carved out is a genuine counter-example.
-    let carved = tpx_treeauto::difference_nta(&schema, &max);
-    let cex = carved.witness().expect("the copying region is non-empty");
+    let budget = tpx_trees::budget::BudgetHandle::unlimited();
+    let carved = tpx_treeauto::difference_nta(&schema, &max, &budget).unwrap();
+    let cex = carved
+        .witness(&budget)
+        .unwrap()
+        .expect("the copying region is non-empty");
     let unique = Tree::from_hedge(tpx_trees::make_value_unique(cex.as_hedge())).unwrap();
     assert!(!tpx_topdown::semantic::text_preserving_on(&t, &unique));
 }
