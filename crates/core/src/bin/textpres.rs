@@ -32,8 +32,8 @@
 //!   under the schema, validate against the `--target` schema? (inverse
 //!   type inference); needs `--target` and a top-down transducer.
 //!
-//! `subschema` prints a witness from the maximal
-//! sub-schema on which the transformation IS text-preserving. `batch`
+//! `subschema` prints a witness from the maximal sub-schema on which a
+//! top-down transducer or a stylesheet IS text-preserving. `batch`
 //! checks many transducer files against one schema on a pool of workers
 //! sharing one ready stack and the compiled schema artifacts;
 //! `--jobs 0` (the default) auto-detects the worker count from
@@ -70,19 +70,21 @@
 //! (a divergence was found, for `fuzz`); 2 = usage or I/O error; 3 = a
 //! resource budget was exhausted (and `--degrade` did not apply).
 //!
-//! File formats are documented in `textpres::format`.
+//! Every transducer argument is sniffed (stylesheet, `dtl` program or the
+//! top-down text format) and prepared by `textpres::frontend::prepare`,
+//! the same front door `textpres serve` uses; this binary keeps argv, file
+//! reading and the sentences it prints. A flag a command does not list in
+//! its usage is a usage error. File formats are documented in
+//! `textpres::format`.
 
 use std::process::ExitCode;
 use textpres::diffcheck::{run_fuzz, FuzzConfig};
 use textpres::engine::{
-    analysis_by_name, Budget, CheckOptions, Decider, DegradeBound, DtlDecider, Engine, Metrics,
-    Outcome, OutputConformanceDecider, Task, TextRetentionDecider, TopdownDecider, Tracer, Verdict,
-    ANALYSIS_NAMES, OUTPUT_CONFORMANCE, TEXT_PRESERVATION, TEXT_RETENTION,
+    Engine, Metrics, Outcome, StageReport, Task, Tracer, Verdict, OUTPUT_CONFORMANCE,
+    TEXT_RETENTION,
 };
-use textpres::format::{
-    is_dtl_transducer, parse_dtl_transducer, parse_schema, parse_transducer, render_case,
-    render_path, render_transducer, render_witness, RegressionCase,
-};
+use textpres::format::{parse_schema, render_case, render_transducer, RegressionCase};
+use textpres::frontend::{prepare, AnalysisRequest, BudgetRequest, PrepareError, Prepared};
 use textpres::prelude::*;
 
 const USAGE: &str = "\
@@ -136,8 +138,9 @@ usage: textpres check <schema> <transducer> [document.xml] [--stats]
 transducer files starting with a `dtl` line are DTL_XPath programs,
 checked with the EXPTIME DTL decider instead of the PTIME top-down one;
 transducer files starting with `<` are XSLT stylesheets, compiled with
-the restricted-fragment frontend before checking (check/analyze/batch
-refuse stylesheets with untranslatable constructs)
+the restricted-fragment frontend before checking (check/analyze/batch/
+subschema refuse stylesheets with untranslatable constructs); a flag the
+command does not list above is a usage error
 
 --trace-out writes a JSONL span trace (one enter/exit pair per pipeline
 stage) and --metrics prints aggregated counters/histograms to stderr
@@ -166,8 +169,7 @@ fn main() -> ExitCode {
     }
     let (cmd, rest) = (args[0].as_str(), &args[1..]);
     match cmd {
-        "check" => cmd_check(rest),
-        "analyze" => cmd_analyze(rest),
+        "check" | "analyze" => cmd_analyze(cmd, rest),
         "subschema" => cmd_subschema(rest),
         "compile-xslt" => cmd_compile_xslt(rest),
         "batch" => cmd_batch(rest),
@@ -181,15 +183,35 @@ fn main() -> ExitCode {
     }
 }
 
-/// Flags shared by `check` / `analyze` / `batch` / `subschema`.
+/// The flags each command reads; any other flag is a usage error.
+const ACCEPTED_FLAGS: [(&str, &str); 6] = [
+    (
+        "check",
+        "--stats --fuel --timeout-ms --degrade --trace-out --metrics",
+    ),
+    (
+        "analyze",
+        "--stats --fuel --timeout-ms --degrade --trace-out --metrics --analysis --label --target",
+    ),
+    (
+        "batch",
+        "--stats --fuel --timeout-ms --degrade --trace-out --metrics --jobs",
+    ),
+    ("subschema", ""),
+    ("compile-xslt", "--dtl --out"),
+    (
+        "client check",
+        "--fuel --timeout-ms --degrade --analysis --label --target",
+    ),
+];
+
+/// The flags and positional arguments of one command line.
 #[derive(Default)]
 struct Flags<'a> {
     positional: Vec<&'a str>,
     stats: bool,
     jobs: Option<usize>,
-    fuel: Option<u64>,
-    timeout_ms: Option<u64>,
-    degrade: bool,
+    budget: BudgetRequest,
     trace_out: Option<&'a str>,
     metrics: bool,
     analysis: Option<&'a str>,
@@ -199,85 +221,91 @@ struct Flags<'a> {
     out: Option<&'a str>,
 }
 
-impl Flags<'_> {
-    /// Whether any resource-governance flag was given.
-    fn governed(&self) -> bool {
-        self.fuel.is_some() || self.timeout_ms.is_some() || self.degrade
-    }
-
-    /// The [`CheckOptions`] the flags describe.
-    fn check_options(&self) -> CheckOptions {
-        let mut budget = Budget::default();
-        if let Some(fuel) = self.fuel {
-            budget = budget.with_fuel(fuel);
-        }
-        if let Some(ms) = self.timeout_ms {
-            budget = budget.with_timeout(std::time::Duration::from_millis(ms));
-        }
-        let options = CheckOptions::with_budget(budget);
-        if self.degrade {
-            options.degrade_with(DegradeBound::default())
-        } else {
-            options
-        }
+impl<'a> Flags<'a> {
+    /// The analysis the flags ask for, validated; a conformance target is
+    /// still a file path.
+    fn request(&self) -> Result<AnalysisRequest<&'a str>, String> {
+        let labels = self.labels.iter().map(|l| l.to_string()).collect();
+        AnalysisRequest::new(self.analysis, labels, self.target)
     }
 }
 
-/// Splits flags from positional arguments.
-fn parse_flags(args: &[String]) -> Result<Flags<'_>, String> {
+/// Splits `cmd`'s flags from its positional arguments, refusing every flag
+/// [`ACCEPTED_FLAGS`] does not list for `cmd`.
+fn parse_flags<'a>(cmd: &str, args: &'a [String]) -> Result<Flags<'a>, String> {
+    let accepted = ACCEPTED_FLAGS
+        .iter()
+        .find(|(c, _)| *c == cmd)
+        .map_or("", |(_, flags)| flags);
     let mut flags = Flags::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut num = |flag: &str| -> Result<u64, String> {
-            let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-            v.parse::<u64>()
-                .map_err(|_| format!("{flag}: not a number: {v:?}"))
+        let a = a.as_str();
+        if a.starts_with("--") && !accepted.split(' ').any(|f| f == a) {
+            return Err(format!("`{cmd}` does not take {a}"));
+        }
+        let mut value = |what: &str| {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{a} needs {what}"))
         };
-        match a.as_str() {
+        let mut num = || -> Result<u64, String> {
+            let v = value("a value")?;
+            v.parse::<u64>()
+                .map_err(|_| format!("{a}: not a number: {v:?}"))
+        };
+        match a {
             "--stats" => flags.stats = true,
-            "--jobs" => flags.jobs = Some(num("--jobs")? as usize),
-            "--fuel" => flags.fuel = Some(num("--fuel")?),
-            "--timeout-ms" => flags.timeout_ms = Some(num("--timeout-ms")?),
-            "--degrade" => flags.degrade = true,
-            "--trace-out" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--trace-out needs a path".to_string())?;
-                flags.trace_out = Some(v.as_str());
-            }
+            "--jobs" => flags.jobs = Some(num()? as usize),
+            "--fuel" => flags.budget.fuel = Some(num()?),
+            "--timeout-ms" => flags.budget.timeout_ms = Some(num()?),
+            "--degrade" => flags.budget.degrade = true,
+            "--trace-out" => flags.trace_out = Some(value("a path")?),
             "--metrics" => flags.metrics = true,
-            "--analysis" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--analysis needs a name".to_string())?;
-                flags.analysis = Some(v.as_str());
-            }
-            "--label" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--label needs a label".to_string())?;
-                flags.labels.push(v.as_str());
-            }
-            "--target" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--target needs a schema file".to_string())?;
-                flags.target = Some(v.as_str());
-            }
+            "--analysis" => flags.analysis = Some(value("a name")?),
+            "--label" => flags.labels.push(value("a label")?),
+            "--target" => flags.target = Some(value("a schema file")?),
             "--dtl" => flags.dtl = true,
-            "--out" => {
-                let v = it.next().ok_or_else(|| "--out needs a path".to_string())?;
-                flags.out = Some(v.as_str());
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
+            "--out" => flags.out = Some(value("a path")?),
             pos => flags.positional.push(pos),
         }
     }
     Ok(flags)
 }
 
+/// A usage error: the message, the usage text, exit 2.
+fn usage_error(e: &str) -> ExitCode {
+    eprintln!("error: {e}\n{USAGE}");
+    ExitCode::from(2)
+}
+
+/// An input or I/O error: the message, exit 2.
+fn input_error(e: &str) -> ExitCode {
+    eprintln!("error: {e}");
+    ExitCode::from(2)
+}
+
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// Reads a schema file and a transducer file (and a conformance target
+/// file) and prepares `request` on them; an error names the file at fault.
+fn load(
+    engine: &Engine,
+    schema_path: &str,
+    t_path: &str,
+    request: &AnalysisRequest<&str>,
+) -> Result<Prepared, String> {
+    let schema = read(schema_path)?;
+    let transducer = read(t_path)?;
+    let sources = request.try_map_target(|path| read(path))?;
+    prepare(engine, &schema, &transducer, &sources).map_err(|e| match e {
+        PrepareError::Schema(e) => format!("{schema_path}: {e}"),
+        PrepareError::Transducer(e) => format!("{t_path}: {e}"),
+        PrepareError::Target(e) => format!("{}: {e}", request.target().unwrap_or(&"target")),
+        e @ PrepareError::Label(_) => e.to_string(),
+    })
 }
 
 /// Attaches an enabled tracer and/or metrics registry to `engine` when the
@@ -310,32 +338,20 @@ fn flush_obs(engine: &Engine, trace_out: Option<&str>, metrics: bool) -> Result<
     Ok(())
 }
 
-fn load_schema(path: &str) -> Result<(Alphabet, Nta), String> {
-    let src = read(path)?;
-    let mut alpha = Alphabet::new();
-    let dtd = parse_schema(&src, &mut alpha).map_err(|e| format!("{path}: {e}"))?;
-    Ok((alpha, dtd.to_nta()))
-}
-
-fn load_transducer(path: &str, alpha: &Alphabet) -> Result<Transducer, String> {
-    let src = read(path)?;
-    parse_transducer(&src, alpha).map_err(|e| format!("{path}: {e}"))
-}
-
-fn print_stats(engine: &Engine, verdicts: &[&Verdict]) {
-    for v in verdicts {
-        for s in &v.stats.stages {
-            let attribution = match s.cache_hit {
-                Some(true) => " [cache hit]",
-                Some(false) => " [compiled]",
-                None => "",
-            };
-            let size = s
-                .artifact_size
-                .map_or(String::new(), |n| format!(", size {n}"));
-            let fuel = s.fuel.map_or(String::new(), |n| format!(", fuel {n}"));
-            eprintln!("  {}: {:?}{size}{fuel}{attribution}", s.stage, s.duration);
-        }
+/// Prints one row per stage report (the `xslt/compile` rows of prepared
+/// stylesheets, then the verdicts' stages) and the cache totals.
+fn print_stats<'a>(engine: &Engine, stages: impl IntoIterator<Item = &'a StageReport>) {
+    for s in stages {
+        let attribution = match s.cache_hit {
+            Some(true) => " [cache hit]",
+            Some(false) => " [compiled]",
+            None => "",
+        };
+        let size = s
+            .artifact_size
+            .map_or(String::new(), |n| format!(", size {n}"));
+        let fuel = s.fuel.map_or(String::new(), |n| format!(", fuel {n}"));
+        eprintln!("  {}: {:?}{size}{fuel}{attribution}", s.stage, s.duration);
     }
     let c = engine.cache_stats();
     eprintln!(
@@ -344,7 +360,9 @@ fn print_stats(engine: &Engine, verdicts: &[&Verdict]) {
     );
 }
 
-fn report_verdict(label: &str, verdict: &Verdict, alpha: &Alphabet) -> bool {
+/// Prints one verdict as a sentence, with the witness the front door
+/// rendered; returns whether the analysis passed.
+fn report(label: &str, verdict: &Verdict, prepared: &Prepared) -> bool {
     if let Some(bound) = &verdict.degraded {
         println!(
             "! {label}: budget exhausted; verdict DEGRADED to the bounded oracle \
@@ -352,397 +370,135 @@ fn report_verdict(label: &str, verdict: &Verdict, alpha: &Alphabet) -> bool {
             bound.max_nodes, bound.limit
         );
     }
+    let witness = prepared.render(&verdict.outcome).1.unwrap_or_default();
     match &verdict.outcome {
-        Outcome::Preserving => {
-            if verdict.analysis == TEXT_RETENTION {
-                println!("✓ {label}: [text-retention] retains all text under the selected labels");
-            } else if verdict.analysis == OUTPUT_CONFORMANCE {
-                println!("✓ {label}: [conformance] every output conforms to the target schema");
-            } else {
-                println!("✓ {label}: text-preserving over every valid document");
-            }
-            true
+        Outcome::Preserving if verdict.analysis == TEXT_RETENTION => {
+            println!("✓ {label}: [text-retention] retains all text under the selected labels")
         }
-        Outcome::Copying { path } => {
-            println!(
-                "✗ {label}: COPIES text reached via: {}",
-                render_path(path, alpha)
-            );
-            false
+        Outcome::Preserving if verdict.analysis == OUTPUT_CONFORMANCE => {
+            println!("✓ {label}: [conformance] every output conforms to the target schema")
         }
-        Outcome::Rearranging { witness } => {
-            println!("✗ {label}: REORDERS text, e.g. on this valid document:");
-            println!("  {}", render_witness(witness, alpha));
-            false
+        Outcome::Preserving => println!("✓ {label}: text-preserving over every valid document"),
+        Outcome::Copying { .. } => println!("✗ {label}: COPIES text reached via: {witness}"),
+        Outcome::Rearranging { .. } => {
+            println!("✗ {label}: REORDERS text, e.g. on this valid document:\n  {witness}")
         }
-        Outcome::NotPreserving { witness } => {
-            println!("✗ {label}: not text-preserving, e.g. on:");
-            println!("  {}", render_witness(witness, alpha));
-            false
+        Outcome::NotPreserving { .. } => {
+            println!("✗ {label}: not text-preserving, e.g. on:\n  {witness}")
         }
-        Outcome::DeletesText { path } => {
-            println!(
-                "✗ {label}: [text-retention] DELETES text under a selected label, \
-                 reached via: {}",
-                render_path(path, alpha)
-            );
-            false
-        }
-        Outcome::NonConforming { witness } => {
-            println!(
-                "✗ {label}: [conformance] output does NOT conform to the target, \
-                 e.g. on this valid document:"
-            );
-            println!("  {}", render_witness(witness, alpha));
-            false
-        }
+        Outcome::DeletesText { .. } => println!(
+            "✗ {label}: [text-retention] DELETES text under a selected label, \
+             reached via: {witness}"
+        ),
+        Outcome::NonConforming { .. } => println!(
+            "✗ {label}: [conformance] output does NOT conform to the target, \
+             e.g. on this valid document:\n  {witness}"
+        ),
     }
+    verdict.is_preserving()
 }
 
-/// A loaded transducer of either kind, dispatching to the right decider.
-enum AnyTransducer {
-    Topdown(Transducer),
-    Dtl(DtlTransducer<XPathPatterns>),
+/// Runs a prepared top-down transformation on one XML document and says
+/// whether that run preserved text.
+fn transform(prepared: &Prepared, doc_path: &str) -> Result<(), String> {
+    let t = prepared.topdown().ok_or(
+        "transforming a document is only supported for top-down transducers and stylesheets",
+    )?;
+    let xml = read(doc_path)?;
+    let mut alpha = prepared.alpha.clone();
+    let tree = textpres::trees::xml::parse_document(&xml, &mut alpha)
+        .map_err(|e| format!("{doc_path}: {e}"))?;
+    // The transducer has rules only over the prepared alphabet.
+    let unknown: Vec<&str> = alpha
+        .entries()
+        .skip(prepared.alpha.len())
+        .map(|(_, label)| label)
+        .collect();
+    if !unknown.is_empty() {
+        return Err(format!(
+            "{doc_path}: labels not in the schema alphabet: {}",
+            unknown.join(", ")
+        ));
+    }
+    let out = t.transform(&tree);
+    println!("transformed {doc_path}:");
+    println!("{}", textpres::trees::xml::to_xml(&out, &alpha));
+    let ok = textpres::is_text_preserving_run(&tree, &out);
+    println!("this run is text-preserving: {ok}\n");
+    Ok(())
 }
 
-impl AnyTransducer {
-    /// A decider for this transducer, borrowing it.
-    fn decider(&self) -> Box<dyn Decider + '_> {
-        match self {
-            AnyTransducer::Topdown(t) => Box::new(TopdownDecider::new(t)),
-            AnyTransducer::Dtl(t) => Box::new(DtlDecider::new(t)),
-        }
-    }
-}
-
-/// Loads the schema and every transducer file together. Stylesheet files
-/// (sniffed by a leading `<`) compile through the XSLT frontend, which may
-/// extend the alphabet with literal result labels — so stylesheets compile
-/// in a first pass that interns every label, everything is built in a
-/// second pass at the final alphabet width, and the schema NTA is parsed
-/// last so its width matches.
-fn load_inputs(
-    schema_path: &str,
-    transducer_paths: &[&str],
-) -> Result<(Alphabet, Nta, Vec<AnyTransducer>), String> {
-    let schema_src = read(schema_path)?;
-    let mut alpha = Alphabet::new();
-    parse_schema(&schema_src, &mut alpha).map_err(|e| format!("{schema_path}: {e}"))?;
-    let mut sources = Vec::new();
-    for path in transducer_paths {
-        sources.push((*path, read(path)?));
-    }
-    for (path, src) in &sources {
-        if textpres::xslt::is_stylesheet(src) {
-            textpres::xslt::compile(src, &mut alpha).map_err(|e| format!("{path}: {e}"))?;
-        }
-    }
-    let mut transducers = Vec::new();
-    for (path, src) in &sources {
-        let t = if textpres::xslt::is_stylesheet(src) {
-            let c = textpres::xslt::compile(src, &mut alpha).map_err(|e| format!("{path}: {e}"))?;
-            if !c.diagnostics.is_empty() {
-                return Err(format!(
-                    "{path}: {}",
-                    textpres::frontend::untranslatable(&c.diagnostics)
-                ));
-            }
-            AnyTransducer::Topdown(c.transducer)
-        } else if is_dtl_transducer(src) {
-            AnyTransducer::Dtl(
-                parse_dtl_transducer(src, &alpha).map_err(|e| format!("{path}: {e}"))?,
-            )
-        } else {
-            AnyTransducer::Topdown(
-                parse_transducer(src, &alpha).map_err(|e| format!("{path}: {e}"))?,
-            )
-        };
-        transducers.push(t);
-    }
-    let schema = parse_schema(&schema_src, &mut alpha)
-        .expect("schema parsed once already")
-        .to_nta();
-    Ok((alpha, schema, transducers))
-}
-
-/// Runs one (possibly governed) check, reporting any failure. The `Err`
-/// payload is the process exit code: 3 for budget exhaustion, 2 for an
-/// isolated panic or internal error.
-fn run_check(
-    engine: &Engine,
-    decider: &dyn Decider,
-    schema: &Nta,
-    flags: &Flags<'_>,
-    label: &str,
-) -> Result<Verdict, u8> {
-    if !flags.governed() {
-        return Ok(engine.check(decider, schema));
-    }
-    engine
-        .check_governed(decider, schema, &flags.check_options())
-        .map_err(|e| {
-            eprintln!("error: {label}: {e}");
-            if e.is_resource_exhausted() {
-                3
-            } else {
-                2
-            }
-        })
-}
-
-fn cmd_check(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
+/// `check` and `analyze`: one governed check of one transducer file.
+/// `check` is `analyze --analysis text-preservation` that may also run the
+/// transformation on a document.
+fn cmd_analyze(cmd: &str, args: &[String]) -> ExitCode {
+    let flags = match parse_flags(cmd, args) {
         Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
-    if flags.jobs.is_some() {
-        eprintln!("error: --jobs only applies to `batch`\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    if flags.dtl || flags.out.is_some() {
-        eprintln!("error: --dtl/--out only apply to `compile-xslt`\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    let (schema_path, transducer_path, doc) = match flags.positional.as_slice() {
-        [s, t] => (*s, *t, None),
-        [s, t, d] => (*s, *t, Some(*d)),
+    let (schema_path, t_path, doc) = match (cmd, flags.positional.as_slice()) {
+        (_, [s, t]) => (*s, *t, None),
+        ("check", [s, t, d]) => (*s, *t, Some(*d)),
         _ => {
             eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let (mut alpha, schema, mut loaded) = match load_inputs(schema_path, &[transducer_path]) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let request = match flags.request() {
+        Ok(r) => r,
+        Err(e) => return usage_error(&e),
     };
-    let t = loaded.pop().expect("one transducer loaded");
-    if let Some(doc_path) = doc {
-        let AnyTransducer::Topdown(t) = &t else {
-            eprintln!("error: transforming a document is only supported for top-down transducers");
-            return ExitCode::from(2);
-        };
-        let xml = match read(doc_path) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match textpres::trees::xml::parse_document(&xml, &mut alpha) {
-            Ok(tree) => {
-                let out = t.transform(&tree);
-                println!("transformed {doc_path}:");
-                println!("{}", textpres::trees::xml::to_xml(&out, &alpha));
-                let ok = textpres::is_text_preserving_run(&tree, &out);
-                println!("this run is text-preserving: {ok}\n");
-            }
-            Err(e) => {
-                eprintln!("error: {doc_path}: {e}");
-                return ExitCode::from(2);
-            }
+    let engine = instrument(Engine::new(), flags.trace_out, flags.metrics);
+    let prepared = match load(&engine, schema_path, t_path, &request) {
+        Ok(p) => p,
+        Err(e) => return input_error(&e),
+    };
+    if let Some(doc) = doc {
+        if let Err(e) = transform(&prepared, doc) {
+            return input_error(&e);
         }
     }
-    let engine = instrument(Engine::new(), flags.trace_out, flags.metrics);
-    let decider = t.decider();
-    let result = run_check(&engine, decider.as_ref(), &schema, &flags, transducer_path);
+    let result = engine.check_governed(
+        prepared.decider().as_ref(),
+        &prepared.schema,
+        &flags.budget.options(),
+    );
     if let Err(e) = flush_obs(&engine, flags.trace_out, flags.metrics) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
+        return input_error(&e);
     }
     let verdict = match result {
         Ok(v) => v,
-        Err(code) => return ExitCode::from(code),
-    };
-    let ok = report_verdict(transducer_path, &verdict, &alpha);
-    if flags.stats {
-        print_stats(&engine, &[&verdict]);
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Unwraps a loaded transducer for an analysis that only supports
-/// top-down transducers, with a clear error for DTL files.
-fn topdown_for(analysis: &str, path: &str, t: AnyTransducer) -> Result<Transducer, String> {
-    match t {
-        AnyTransducer::Topdown(t) => Ok(t),
-        AnyTransducer::Dtl(_) => Err(format!(
-            "{path}: --analysis {analysis} is only supported for top-down transducers"
-        )),
-    }
-}
-
-/// Runs the analysis check, flushes observability, and reports the
-/// verdict — the shared tail of every `analyze` branch.
-fn finish_analyze(
-    engine: &Engine,
-    decider: &dyn Decider,
-    schema: &Nta,
-    flags: &Flags<'_>,
-    label: &str,
-    alpha: &Alphabet,
-) -> ExitCode {
-    let result = run_check(engine, decider, schema, flags, label);
-    if let Err(e) = flush_obs(engine, flags.trace_out, flags.metrics) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
-    let verdict = match result {
-        Ok(v) => v,
-        Err(code) => return ExitCode::from(code),
-    };
-    let ok = report_verdict(label, &verdict, alpha);
-    if flags.stats {
-        print_stats(engine, &[&verdict]);
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
-        Ok(x) => x,
         Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
+            eprintln!("error: {t_path}: {e}");
+            return ExitCode::from(if e.is_resource_exhausted() { 3 } else { 2 });
         }
     };
-    if flags.jobs.is_some() {
-        eprintln!("error: --jobs only applies to `batch`\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    if flags.dtl || flags.out.is_some() {
-        eprintln!("error: --dtl/--out only apply to `compile-xslt`\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    let name = flags.analysis.unwrap_or(TEXT_PRESERVATION.name);
-    let Some(analysis) = analysis_by_name(name) else {
-        eprintln!(
-            "error: unknown analysis {name:?} (expected one of: {})\n{USAGE}",
-            ANALYSIS_NAMES.join(", ")
-        );
-        return ExitCode::from(2);
-    };
-    if analysis != TEXT_RETENTION && !flags.labels.is_empty() {
-        eprintln!("error: --label only applies to --analysis text-retention\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    if analysis != OUTPUT_CONFORMANCE && flags.target.is_some() {
-        eprintln!("error: --target only applies to --analysis conformance\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    let [schema_path, transducer_path] = flags.positional.as_slice() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let (mut alpha, schema, mut loaded) = match load_inputs(schema_path, &[transducer_path]) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let any = loaded.pop().expect("one transducer loaded");
-    let engine = instrument(Engine::new(), flags.trace_out, flags.metrics);
-    if analysis == TEXT_RETENTION {
-        if flags.labels.is_empty() {
-            eprintln!("error: --analysis text-retention needs at least one --label\n{USAGE}");
-            return ExitCode::from(2);
-        }
-        let mut labels = Vec::new();
-        for l in &flags.labels {
-            match alpha.get(l) {
-                Some(s) => labels.push(s),
-                None => {
-                    eprintln!("error: --label {l:?} is not in the schema alphabet");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        let t = match topdown_for(name, transducer_path, any) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let decider = TextRetentionDecider::new(&t, labels);
-        finish_analyze(&engine, &decider, &schema, &flags, transducer_path, &alpha)
-    } else if analysis == OUTPUT_CONFORMANCE {
-        let Some(target_path) = flags.target else {
-            eprintln!("error: --analysis conformance needs --target <schema>\n{USAGE}");
-            return ExitCode::from(2);
-        };
-        let t = match topdown_for(name, transducer_path, any) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        // The target schema is parsed into the *same* alphabet so its
-        // symbols line up with the input schema's; new labels extend the
-        // alphabet, and the conformance pipeline pads the narrower
-        // automata up to the common width.
-        let target = match read(target_path).and_then(|src| {
-            parse_schema(&src, &mut alpha).map_err(|e| format!("{target_path}: {e}"))
-        }) {
-            Ok(dtd) => dtd.to_nta(),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let decider = OutputConformanceDecider::new(&t, &target);
-        finish_analyze(&engine, &decider, &schema, &flags, transducer_path, &alpha)
-    } else {
-        let decider = any.decider();
-        finish_analyze(
+    let ok = report(t_path, &verdict, &prepared);
+    if flags.stats {
+        print_stats(
             &engine,
-            decider.as_ref(),
-            &schema,
-            &flags,
-            transducer_path,
-            &alpha,
-        )
+            prepared.compile.iter().chain(&verdict.stats.stages),
+        );
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
 fn cmd_batch(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags("batch", args) {
         Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     let [schema_path, transducer_paths @ ..] = flags.positional.as_slice() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
     if transducer_paths.is_empty() {
-        eprintln!("error: batch needs at least one transducer file\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("batch needs at least one transducer file");
     }
-    let (alpha, schema, transducers) = match load_inputs(schema_path, transducer_paths) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
     // `--jobs 0` (and the default) auto-detects the worker count from the
     // host's available parallelism.
     let jobs = match flags.jobs {
@@ -750,26 +506,43 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         Some(n) => n,
     };
     let engine = instrument(Engine::with_jobs(jobs), flags.trace_out, flags.metrics);
-    let deciders: Vec<Box<dyn Decider + '_>> = transducers.iter().map(|t| t.decider()).collect();
+    // Each file is prepared on its own, over its own alphabet, as the
+    // daemon's batch does; equal schema NTAs still share one artifact.
+    let prepared: Result<Vec<Prepared>, String> = transducer_paths
+        .iter()
+        .map(|path| {
+            load(
+                &engine,
+                schema_path,
+                path,
+                &AnalysisRequest::TextPreservation,
+            )
+        })
+        .collect();
+    let prepared = match prepared {
+        Ok(p) => p,
+        Err(e) => return input_error(&e),
+    };
+    let deciders: Vec<_> = prepared.iter().map(Prepared::decider).collect();
     let tasks: Vec<Task> = deciders
         .iter()
-        .map(|d| (d.as_ref() as &dyn Decider, &schema))
+        .zip(&prepared)
+        .map(|(d, p)| (d.as_ref(), &p.schema))
         .collect();
     // Each task fails independently: one exhausted or panicking check still
     // lets every other transducer get its verdict.
-    let results = engine.check_many_governed(&tasks, &flags.check_options());
+    let results = engine.check_many_governed(&tasks, &flags.budget.options());
     if let Err(e) = flush_obs(&engine, flags.trace_out, flags.metrics) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
+        return input_error(&e);
     }
     let mut all_ok = true;
     let mut exhausted = 0usize;
     let mut errored = 0usize;
     let mut preserving = 0usize;
-    for (path, result) in transducer_paths.iter().zip(&results) {
+    for ((path, p), result) in transducer_paths.iter().zip(&prepared).zip(&results) {
         match result {
             Ok(verdict) => {
-                all_ok &= report_verdict(path, verdict, &alpha);
+                all_ok &= report(path, verdict, p);
                 preserving += verdict.is_preserving() as usize;
             }
             Err(e) if e.is_resource_exhausted() => {
@@ -793,8 +566,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         }
     );
     if flags.stats {
-        let verdicts: Vec<&Verdict> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
-        print_stats(&engine, &verdicts);
+        let compiles = prepared.iter().filter_map(|p| p.compile.as_ref());
+        let stages = results.iter().flatten().flat_map(|v| &v.stats.stages);
+        print_stats(&engine, compiles.chain(stages));
         let b = engine.batch_stats();
         eprintln!(
             "  scheduler: {} stage tasks + {} checks",
@@ -968,12 +742,9 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
 /// program). Untranslatable constructs are listed with their source lines
 /// and exit 1; a file that is not a stylesheet at all exits 2.
 fn cmd_compile_xslt(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags("compile-xslt", args) {
         Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     let [schema_path, xslt_path] = flags.positional.as_slice() else {
         eprintln!("error: compile-xslt needs <schema> <stylesheet>\n{USAGE}");
@@ -1039,33 +810,31 @@ fn cmd_compile_xslt(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `textpres subschema`: the maximal sub-schema on which a top-down
+/// transducer or a stylesheet is text-preserving, with a sample document
+/// inside it and, when it is smaller than the schema, one outside it.
 fn cmd_subschema(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags("subschema", args) {
         Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
-    let [schema_path, transducer_path] = flags.positional.as_slice() else {
+    let [schema_path, t_path] = flags.positional.as_slice() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let (alpha, schema) = match load_schema(schema_path) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let request = AnalysisRequest::TextPreservation;
+    let prepared = match load(&Engine::new(), schema_path, t_path, &request) {
+        Ok(p) => p,
+        Err(e) => return input_error(&e),
     };
-    let t = match load_transducer(transducer_path, &alpha) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let Some(t) = prepared.topdown() else {
+        return input_error(&format!(
+            "{t_path}: subschema needs a top-down transducer or a stylesheet, \
+             not a dtl program"
+        ));
     };
-    let max = textpres::topdown_maximal_subschema(&t, &schema);
+    let (alpha, schema) = (&prepared.alpha, &prepared.schema);
+    let max = textpres::topdown_maximal_subschema(t, schema);
     // The sub-schema is an automaton the user asked for, built without a
     // resource limit.
     let budget = textpres::trees::budget::BudgetHandle::unlimited();
@@ -1078,14 +847,14 @@ fn cmd_subschema(args: &[String]) -> ExitCode {
         max.state_count(),
         max.size()
     );
-    println!("{}", max.display(&alpha));
+    println!("{}", max.display(alpha));
     if let Some(w) = max.witness(&budget).expect("unlimited budget") {
-        println!("sample document inside:  {}", w.display(&alpha));
+        println!("sample document inside:  {}", w.display(alpha));
     }
     let carved =
-        textpres::treeauto::difference_nta(&schema, &max, &budget).expect("unlimited budget");
+        textpres::treeauto::difference_nta(schema, &max, &budget).expect("unlimited budget");
     match carved.witness(&budget).expect("unlimited budget") {
-        Some(w) => println!("sample document outside: {}", w.display(&alpha)),
+        Some(w) => println!("sample document outside: {}", w.display(alpha)),
         None => println!("(the transformation is text-preserving on the whole schema)"),
     }
     ExitCode::SUCCESS
@@ -1248,12 +1017,9 @@ fn cmd_client(args: &[String]) -> ExitCode {
             }
         },
         "check" => {
-            let flags = match parse_flags(rest) {
+            let flags = match parse_flags("client check", rest) {
                 Ok(f) => f,
-                Err(e) => {
-                    eprintln!("error: {e}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
+                Err(e) => return usage_error(&e),
             };
             let [schema_path, transducer_path] = flags.positional.as_slice() else {
                 eprintln!("error: client check needs <schema> <transducer>\n{USAGE}");
@@ -1295,13 +1061,13 @@ fn cmd_client(args: &[String]) -> ExitCode {
                     }
                 }
             }
-            if let Some(fuel) = flags.fuel {
+            if let Some(fuel) = flags.budget.fuel {
                 frame.push_str(&format!(",\"fuel\":{fuel}"));
             }
-            if let Some(ms) = flags.timeout_ms {
+            if let Some(ms) = flags.budget.timeout_ms {
                 frame.push_str(&format!(",\"timeout_ms\":{ms}"));
             }
-            if flags.degrade {
+            if flags.budget.degrade {
                 frame.push_str(",\"degrade\":true");
             }
             frame.push('}');

@@ -11,8 +11,8 @@
 //! The design priority is fault isolation — one bad client must never
 //! wedge, crash, or starve the daemon:
 //!
-//! - every check runs under a per-request [`Budget`] (fuel + deadline),
-//!   clamped by server-wide caps, through
+//! - every check runs under a per-request [`Budget`](tpx_engine::Budget)
+//!   (fuel + deadline), clamped by server-wide caps, through
 //!   [`Engine::check_governed`] — whose `catch_unwind` turns a
 //!   panicking decider into a structured [`protocol::codes::PANICKED`]
 //!   response;
@@ -48,25 +48,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tpx_dtl::{DtlTransducer, XPathPatterns};
-use tpx_engine::{
-    Budget, CheckOptions, Decider, DecisionError, DegradeBound, DtlDecider, Engine, Metrics,
-    Outcome, OutputConformanceDecider, Task, TextRetentionDecider, TopdownDecider, Tracer,
-    TwoGenMap, Verdict,
-};
-use tpx_topdown::Transducer;
-use tpx_treeauto::Nta;
-use tpx_trees::{Alphabet, Symbol};
+use tpx_engine::{DecisionError, Engine, Metrics, Task, Tracer, TwoGenMap, Verdict};
 
-use crate::format::{
-    is_dtl_transducer, parse_dtl_transducer, parse_schema, parse_transducer, render_path,
-    render_witness,
-};
+use crate::frontend::{prepare, AnalysisRequest, BudgetRequest, Prepared};
 use admission::{AdmitError, Gate};
 use protocol::{
-    codes, AnalysisRequest, BatchRequest, BudgetRequest, CheckRequest, ErrorInfo, FrameId,
-    HealthSummary, RegisterRequest, RequestBody, ResponseBody, SourceKind, SourceRef, StatsSummary,
-    VerdictSummary,
+    codes, BatchRequest, CheckRequest, ErrorInfo, FrameId, HealthSummary, RegisterRequest,
+    RequestBody, ResponseBody, SourceKind, SourceRef, StatsSummary, VerdictSummary,
 };
 
 /// How often blocked reads and the signal watcher wake up to poll the
@@ -150,28 +138,15 @@ pub struct ServeReport {
     pub forced_drain: bool,
 }
 
-/// A parsed-and-compiled (schema, transducer, analysis) triple, memoized
-/// by source content so warm requests skip the text formats entirely.
-struct Prepared {
-    alpha: Alphabet,
-    schema: Nta,
-    kind: PreparedKind,
-}
-
-enum PreparedKind {
-    Topdown(Transducer),
-    Dtl(DtlTransducer<XPathPatterns>),
-    Retention { t: Transducer, labels: Vec<Symbol> },
-    Conformance { t: Transducer, target: Nta },
-}
-
 struct Shared {
     cfg: ServeConfig,
     engine: Engine,
     tracer: Arc<Tracer>,
     metrics: Arc<Metrics>,
     gate: Gate,
-    registry: Mutex<HashMap<String, (SourceKind, Arc<String>)>>,
+    registry: Mutex<HashMap<String, (SourceKind, Arc<str>)>>,
+    /// Prepared (schema, transducer, analysis) triples by source content,
+    /// so warm requests skip the text formats entirely.
     memo: Mutex<TwoGenMap<u64, Arc<Prepared>>>,
     memo_hits: AtomicU64,
     served: AtomicU64,
@@ -213,9 +188,9 @@ impl Shared {
         ErrorInfo::new(codes::BAD_REQUEST, message)
     }
 
-    fn resolve(&self, source: &SourceRef, expect: SourceKind) -> Result<Arc<String>, ErrorInfo> {
+    fn resolve(&self, source: &SourceRef, expect: SourceKind) -> Result<Arc<str>, ErrorInfo> {
         match source {
-            SourceRef::Inline(text) => Ok(Arc::new(text.clone())),
+            SourceRef::Inline(text) => Ok(Arc::from(text.as_str())),
             SourceRef::Named(name) => match lock(&self.registry).get(name) {
                 Some((kind, text)) if *kind == expect => Ok(Arc::clone(text)),
                 Some((kind, _)) => Err(self.bad_request(format!(
@@ -231,34 +206,22 @@ impl Shared {
         }
     }
 
-    /// Resolves, parses and compiles a check request's sources, through
-    /// the bounded parse memo.
-    fn prepare(&self, req: &CheckRequest) -> Result<Arc<Prepared>, ErrorInfo> {
-        let schema_src = self.resolve(&req.schema, SourceKind::Schema)?;
-        let t_src = self.resolve(&req.transducer, SourceKind::Transducer)?;
-        let target_src = match &req.analysis {
-            AnalysisRequest::Conformance { target } => {
-                Some(self.resolve(target, SourceKind::Schema)?)
-            }
-            _ => None,
-        };
+    /// Resolves a check's sources and prepares it, through the bounded
+    /// memo. Two racing requests for the same sources may both prepare;
+    /// the second insert wins — duplicate work beats a held lock. A
+    /// stylesheet compiles into the engine's artifact cache, which
+    /// outlives memo evictions and is shared across analyses.
+    fn prepare(
+        &self,
+        schema: &SourceRef,
+        transducer: &SourceRef,
+        analysis: &AnalysisRequest<SourceRef>,
+    ) -> Result<Arc<Prepared>, ErrorInfo> {
+        let schema = self.resolve(schema, SourceKind::Schema)?;
+        let transducer = self.resolve(transducer, SourceKind::Transducer)?;
+        let analysis = analysis.try_map_target(|t| self.resolve(t, SourceKind::Schema))?;
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        schema_src.hash(&mut hasher);
-        t_src.hash(&mut hasher);
-        match &req.analysis {
-            AnalysisRequest::TextPreservation => 0u8.hash(&mut hasher),
-            AnalysisRequest::TextRetention { labels } => {
-                1u8.hash(&mut hasher);
-                labels.hash(&mut hasher);
-            }
-            AnalysisRequest::Conformance { .. } => {
-                2u8.hash(&mut hasher);
-                target_src
-                    .as_ref()
-                    .expect("resolved above")
-                    .hash(&mut hasher);
-            }
-        }
+        (&schema, &transducer, &analysis).hash(&mut hasher);
         let key = hasher.finish();
         // A generation the lookup or the insert drops is freed after the
         // memo lock is released.
@@ -267,189 +230,71 @@ impl Shared {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(p);
         }
-
-        // Parse outside the memo lock; two racing requests for the same
-        // sources may both compile, the second insert wins — duplicate
-        // work beats a held lock.
-        //
-        // A transducer source that sniffs as XSLT goes through the
-        // frontend instead of the text-format parsers, compiled once per
-        // (schema, stylesheet) pair into the engine's artifact cache
-        // under the shared `xslt/compile` stage — the memo above only
-        // shortcuts re-requests of the identical (analysis, sources)
-        // triple, the artifact survives memo evictions and is shared
-        // across analyses. A DTL program (`Err` below) only answers
-        // text-preservation.
-        let (mut alpha, schema, t) = if tpx_xslt::is_stylesheet(&t_src) {
-            let artifact =
-                crate::frontend::compile_stylesheet_cached(&self.engine, &schema_src, &t_src)
-                    .map_err(|e| self.bad_request(format!("transducer: {e}")))?;
-            let t = Ok(artifact.transducer.clone());
-            (artifact.alpha.clone(), artifact.schema.clone(), t)
-        } else {
-            let mut alpha = Alphabet::new();
-            let schema = parse_schema(&schema_src, &mut alpha)
-                .map_err(|e| self.bad_request(format!("schema: {e}")))?
-                .to_nta();
-            let needs_topdown = |analysis: &str| {
-                self.bad_request(format!(
-                    "analysis {analysis} needs a top-down transducer, got a dtl program"
-                ))
-            };
-            let t = match (&req.analysis, is_dtl_transducer(&t_src)) {
-                (_, false) => Ok(parse_transducer(&t_src, &alpha)
-                    .map_err(|e| self.bad_request(format!("transducer: {e}")))?),
-                (AnalysisRequest::TextPreservation, true) => {
-                    Err(parse_dtl_transducer(&t_src, &alpha)
-                        .map_err(|e| self.bad_request(format!("transducer: {e}")))?)
-                }
-                (AnalysisRequest::TextRetention { .. }, true) => {
-                    return Err(needs_topdown("text-retention"))
-                }
-                (AnalysisRequest::Conformance { .. }, true) => {
-                    return Err(needs_topdown("conformance"))
-                }
-            };
-            (alpha, schema, t)
-        };
-        let kind = match (&req.analysis, t) {
-            (_, Err(dtl)) => PreparedKind::Dtl(dtl),
-            (AnalysisRequest::TextPreservation, Ok(t)) => PreparedKind::Topdown(t),
-            (AnalysisRequest::TextRetention { labels }, Ok(t)) => {
-                let labels = labels
-                    .iter()
-                    .map(|l| {
-                        alpha.get(l).ok_or_else(|| {
-                            self.bad_request(format!("label {l:?} is not in the schema alphabet"))
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                PreparedKind::Retention { t, labels }
-            }
-            (AnalysisRequest::Conformance { .. }, Ok(t)) => {
-                // The target is parsed into the *same* alphabet so its
-                // symbols line up with the transducer's output labels.
-                let target = parse_schema(target_src.as_ref().expect("resolved above"), &mut alpha)
-                    .map_err(|e| self.bad_request(format!("target: {e}")))?
-                    .to_nta();
-                PreparedKind::Conformance { t, target }
-            }
-        };
-        let prepared = Arc::new(Prepared {
-            alpha,
-            schema,
-            kind,
-        });
+        let prepared = prepare(&self.engine, &schema, &transducer, &analysis)
+            .map_err(|e| self.bad_request(e.to_string()))?;
+        let prepared = Arc::new(prepared);
         let _dropped = lock(&self.memo).insert(key, Arc::clone(&prepared));
         Ok(prepared)
     }
 
-    /// Clamps a request's budget against the server caps (and, during a
+    /// A request's limits clamped against the server caps (and, during a
     /// drain, against the remaining drain window, so in-flight work can
     /// never outlive the drain by more than one `max_timeout`).
-    fn effective_options(&self, req: &BudgetRequest) -> CheckOptions {
-        let mut budget = Budget::default();
+    fn clamp(&self, req: &BudgetRequest) -> BudgetRequest {
         let fuel = match (req.fuel, self.cfg.max_fuel) {
             (Some(f), Some(cap)) => Some(f.min(cap)),
-            (Some(f), None) => Some(f),
-            (None, cap) => cap,
+            (f, cap) => f.or(cap),
         };
-        if let Some(f) = fuel {
-            budget = budget.with_fuel(f);
-        }
         let mut timeout = req
             .timeout_ms
             .map_or(self.cfg.max_timeout, Duration::from_millis)
             .min(self.cfg.max_timeout);
         if let Some(deadline) = *lock(&self.drain_deadline_at) {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            timeout = timeout.min(remaining.max(Duration::from_millis(1)));
+            timeout = timeout.min(remaining);
         }
-        budget = budget.with_timeout(timeout);
-        let mut options = CheckOptions::with_budget(budget);
-        if req.degrade {
-            options = options.degrade_with(DegradeBound::default());
-        }
-        options
-    }
-
-    fn run_prepared(&self, p: &Prepared, options: &CheckOptions) -> Result<Verdict, DecisionError> {
-        match &p.kind {
-            PreparedKind::Topdown(t) => {
-                self.engine
-                    .check_governed(&TopdownDecider::new(t), &p.schema, options)
-            }
-            PreparedKind::Dtl(t) => {
-                self.engine
-                    .check_governed(&DtlDecider::new(t), &p.schema, options)
-            }
-            PreparedKind::Retention { t, labels } => self.engine.check_governed(
-                &TextRetentionDecider::new(t, labels.clone()),
-                &p.schema,
-                options,
-            ),
-            PreparedKind::Conformance { t, target } => self.engine.check_governed(
-                &OutputConformanceDecider::new(t, target),
-                &p.schema,
-                options,
-            ),
+        BudgetRequest {
+            fuel,
+            timeout_ms: Some((timeout.as_millis() as u64).max(1)),
+            degrade: req.degrade,
         }
     }
 
     fn handle_check(&self, req: &CheckRequest) -> ResponseBody {
-        let prepared = match self.prepare(req) {
+        let prepared = match self.prepare(&req.schema, &req.transducer, &req.analysis) {
             Ok(p) => p,
             Err(e) => return self.reject(e),
         };
-        let options = self.effective_options(&req.budget);
+        let options = self.clamp(&req.budget).options();
         let start = Instant::now();
-        let result = self.run_prepared(&prepared, &options);
+        let result =
+            self.engine
+                .check_governed(prepared.decider().as_ref(), &prepared.schema, &options);
         let elapsed_us = start.elapsed().as_micros() as u64;
         self.served.fetch_add(1, Ordering::Relaxed);
         self.metrics.observe("serve/request_us", elapsed_us);
         match result {
-            Ok(v) => ResponseBody::Verdict(summarize(&v, &prepared.alpha, elapsed_us)),
-            Err(e) => {
-                let info = decision_error_info(&e);
-                self.metrics.incr(&format!("serve/errors/{}", info.code));
-                ResponseBody::Error(info)
-            }
+            Ok(v) => ResponseBody::Verdict(summarize(&v, &prepared, elapsed_us)),
+            Err(e) => ResponseBody::Error(self.engine_error(&e)),
         }
     }
 
     fn handle_batch(&self, req: &BatchRequest) -> ResponseBody {
-        let options = self.effective_options(&req.budget);
+        let options = self.clamp(&req.budget).options();
         let prepared: Vec<Result<Arc<Prepared>, ErrorInfo>> = req
             .transducers
             .iter()
-            .map(|t| {
-                self.prepare(&CheckRequest {
-                    schema: req.schema.clone(),
-                    transducer: t.clone(),
-                    analysis: AnalysisRequest::TextPreservation,
-                    budget: req.budget.clone(),
-                })
-            })
+            .map(|t| self.prepare(&req.schema, t, &AnalysisRequest::TextPreservation))
             .collect();
         let ok: Vec<&Prepared> = prepared
             .iter()
             .filter_map(|p| p.as_ref().ok().map(Arc::as_ref))
             .collect();
-        let deciders: Vec<Box<dyn Decider + '_>> = ok
-            .iter()
-            .map(|p| -> Box<dyn Decider + '_> {
-                match &p.kind {
-                    PreparedKind::Topdown(t) => Box::new(TopdownDecider::new(t)),
-                    PreparedKind::Dtl(t) => Box::new(DtlDecider::new(t)),
-                    // `prepare` was called with TextPreservation above.
-                    _ => unreachable!("batch prepares text-preservation only"),
-                }
-            })
-            .collect();
+        let deciders: Vec<_> = ok.iter().map(|p| p.decider()).collect();
         let tasks: Vec<Task<'_>> = deciders
             .iter()
             .zip(&ok)
-            .map(|(d, p)| (&**d, &p.schema))
+            .map(|(d, p)| (d.as_ref(), &p.schema))
             .collect();
         let start = Instant::now();
         let mut verdicts = self
@@ -459,21 +304,13 @@ impl Shared {
         let elapsed_us = start.elapsed().as_micros() as u64;
         self.served.fetch_add(1, Ordering::Relaxed);
         self.metrics.observe("serve/request_us", elapsed_us);
-        let mut ok_iter = ok.iter();
         let results = prepared
             .iter()
             .map(|p| match p {
-                Ok(_) => {
-                    let prepared = ok_iter.next().expect("one per Ok");
-                    match verdicts.next().expect("one verdict per task") {
-                        Ok(v) => Ok(summarize(&v, &prepared.alpha, elapsed_us)),
-                        Err(e) => {
-                            let info = decision_error_info(&e);
-                            self.metrics.incr(&format!("serve/errors/{}", info.code));
-                            Err(info)
-                        }
-                    }
-                }
+                Ok(p) => match verdicts.next().expect("one verdict per task") {
+                    Ok(v) => Ok(summarize(&v, p, elapsed_us)),
+                    Err(e) => Err(self.engine_error(&e)),
+                },
                 Err(e) => {
                     self.rejected.fetch_add(1, Ordering::Relaxed);
                     self.metrics.incr(&format!("serve/errors/{}", e.code));
@@ -484,6 +321,17 @@ impl Shared {
         ResponseBody::Batch(results)
     }
 
+    /// Counts and returns a check the engine could not decide.
+    fn engine_error(&self, e: &DecisionError) -> ErrorInfo {
+        let code = match e {
+            DecisionError::ResourceExhausted { .. } => codes::EXHAUSTED,
+            DecisionError::Panicked { .. } => codes::PANICKED,
+            DecisionError::Internal(_) => codes::INTERNAL,
+        };
+        self.metrics.incr(&format!("serve/errors/{code}"));
+        ErrorInfo::new(code, e.to_string())
+    }
+
     fn handle_register(&self, req: &RegisterRequest) -> ResponseBody {
         let mut registry = lock(&self.registry);
         if registry.len() >= REGISTRY_CAP && !registry.contains_key(&req.name) {
@@ -492,7 +340,7 @@ impl Shared {
                 format!("registry holds {} sources already", registry.len()),
             ));
         }
-        registry.insert(req.name.clone(), (req.kind, Arc::new(req.text.clone())));
+        registry.insert(req.name.clone(), (req.kind, Arc::from(req.text.as_str())));
         ResponseBody::Registered {
             name: req.name.clone(),
             kind: req.kind,
@@ -579,21 +427,10 @@ impl Shared {
     }
 }
 
-fn summarize(v: &Verdict, alpha: &Alphabet, elapsed_us: u64) -> VerdictSummary {
-    let (outcome, witness) = match &v.outcome {
-        Outcome::Preserving => ("preserving", None),
-        Outcome::Copying { path } => ("copying", Some(render_path(path, alpha))),
-        Outcome::Rearranging { witness } => ("rearranging", Some(render_witness(witness, alpha))),
-        Outcome::NotPreserving { witness } => {
-            ("not-preserving", Some(render_witness(witness, alpha)))
-        }
-        Outcome::DeletesText { path } => ("deletes-text", Some(render_path(path, alpha))),
-        Outcome::NonConforming { witness } => {
-            ("non-conforming", Some(render_witness(witness, alpha)))
-        }
-    };
+fn summarize(v: &Verdict, prepared: &Prepared, elapsed_us: u64) -> VerdictSummary {
+    let (outcome, witness) = prepared.render(&v.outcome);
     VerdictSummary {
-        pass: matches!(v.outcome, Outcome::Preserving),
+        pass: v.is_preserving(),
         analysis: v.analysis.name,
         decider: v.decider,
         outcome,
@@ -604,15 +441,6 @@ fn summarize(v: &Verdict, alpha: &Alphabet, elapsed_us: u64) -> VerdictSummary {
         fuel: v.stats.total_fuel(),
         elapsed_us,
     }
-}
-
-fn decision_error_info(e: &DecisionError) -> ErrorInfo {
-    let code = match e {
-        DecisionError::ResourceExhausted { .. } => codes::EXHAUSTED,
-        DecisionError::Panicked { .. } => codes::PANICKED,
-        DecisionError::Internal(_) => codes::INTERNAL,
-    };
-    ErrorInfo::new(code, e.to_string())
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@
 //! carry an optional `id` (non-negative integer or string) that is echoed
 //! verbatim on the response, a `type` selecting the operation, and
 //! type-specific fields; schema/transducer payloads are the existing
-//! `textpres::format` text formats embedded as JSON strings (a DTL
-//! program is sniffed by its `dtl` header line, exactly as the CLI
-//! does). The envelope is strict in the same spirit as
-//! [`crate::format::parse_case`]: duplicate fields, unknown fields, and
-//! wrong value types are rejected with a structured error frame — never
-//! a panic, and never a silently-ignored field.
+//! `textpres::format` text formats (or a stylesheet) embedded as JSON
+//! strings, sniffed by the same [`crate::frontend::prepare`] the CLI
+//! uses; a `check` frame's analysis fields parse into the same
+//! [`AnalysisRequest`] and [`BudgetRequest`] as the CLI's flags. The
+//! envelope is strict in the same spirit as [`crate::format::parse_case`]:
+//! duplicate fields, unknown fields, and wrong value types are rejected
+//! with a structured error frame — never a panic, and never a
+//! silently-ignored field.
 //!
 //! Responses are `{"id":…, "ok":true, …}` on success or
 //! `{"id":…, "ok":false, "error":"<code>", "message":…}` on failure,
@@ -21,6 +23,8 @@
 use std::collections::BTreeMap;
 
 use tpx_obs::{quote, JsonValue};
+
+pub use crate::frontend::{AnalysisRequest, BudgetRequest};
 
 /// Response error codes. A closed vocabulary so clients can switch on
 /// `error` without string-matching free-form messages.
@@ -110,35 +114,6 @@ impl SourceKind {
     }
 }
 
-/// Which analysis a `check` frame runs (defaults to text-preservation).
-#[derive(Clone, Debug, PartialEq)]
-pub enum AnalysisRequest {
-    /// The paper's headline question (Definition 2.2).
-    TextPreservation,
-    /// Deletes-text-under-selected-labels (Lemma 4.8 route).
-    TextRetention {
-        /// The selected label names (must be non-empty).
-        labels: Vec<String>,
-    },
-    /// Inverse type inference against a target schema.
-    Conformance {
-        /// The target schema source.
-        target: SourceRef,
-    },
-}
-
-/// Per-request resource budget; the server clamps these against its own
-/// caps before running the check.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BudgetRequest {
-    /// Fuel cap, if any.
-    pub fuel: Option<u64>,
-    /// Wall-clock cap in milliseconds, if any.
-    pub timeout_ms: Option<u64>,
-    /// Degrade to the bounded oracle on exhaustion instead of erroring.
-    pub degrade: bool,
-}
-
 /// A single check/analyze request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckRequest {
@@ -146,8 +121,9 @@ pub struct CheckRequest {
     pub schema: SourceRef,
     /// The transducer source.
     pub transducer: SourceRef,
-    /// The analysis to run.
-    pub analysis: AnalysisRequest,
+    /// The analysis to run (text-preservation unless the frame names
+    /// another).
+    pub analysis: AnalysisRequest<SourceRef>,
     /// The requested budget.
     pub budget: BudgetRequest,
 }
@@ -433,7 +409,7 @@ fn take_id(f: &mut Fields<'_>) -> ParseResult<FrameId> {
     }
 }
 
-fn take_analysis(f: &mut Fields<'_>) -> ParseResult<AnalysisRequest> {
+fn take_analysis(f: &mut Fields<'_>) -> ParseResult<AnalysisRequest<SourceRef>> {
     let name = f.take_str("analysis")?;
     let labels = match f.take("labels") {
         None => Vec::new(),
@@ -450,51 +426,7 @@ fn take_analysis(f: &mut Fields<'_>) -> ParseResult<AnalysisRequest> {
         Some(_) => return Err(bad_frame("field \"labels\" must be an array of strings")),
     };
     let target = take_source(f, "target", false)?;
-    match name.as_deref() {
-        None | Some("text-preservation") => {
-            if !labels.is_empty() {
-                return Err(bad_frame(
-                    "field \"labels\" only applies to \"analysis\":\"text-retention\"",
-                ));
-            }
-            if target.is_some() {
-                return Err(bad_frame(
-                    "field \"target\" only applies to \"analysis\":\"conformance\"",
-                ));
-            }
-            Ok(AnalysisRequest::TextPreservation)
-        }
-        Some("text-retention") => {
-            if target.is_some() {
-                return Err(bad_frame(
-                    "field \"target\" only applies to \"analysis\":\"conformance\"",
-                ));
-            }
-            if labels.is_empty() {
-                return Err(bad_frame(
-                    "\"analysis\":\"text-retention\" needs a non-empty \"labels\" array",
-                ));
-            }
-            Ok(AnalysisRequest::TextRetention { labels })
-        }
-        Some("conformance") => {
-            if !labels.is_empty() {
-                return Err(bad_frame(
-                    "field \"labels\" only applies to \"analysis\":\"text-retention\"",
-                ));
-            }
-            match target {
-                Some(target) => Ok(AnalysisRequest::Conformance { target }),
-                None => Err(bad_frame(
-                    "\"analysis\":\"conformance\" needs \"target\" or \"target_ref\"",
-                )),
-            }
-        }
-        Some(other) => Err(bad_frame(format!(
-            "unknown analysis {other:?} (expected one of text-preservation, \
-             text-retention, conformance)"
-        ))),
-    }
+    AnalysisRequest::new(name.as_deref(), labels, target).map_err(bad_frame)
 }
 
 /// Parses one frame line into a [`RequestFrame`].

@@ -16,8 +16,7 @@
 use tpx_dtl::pattern::PatternLanguage;
 use tpx_dtl::{DtlTransducer, XPathPatterns};
 use tpx_engine::{
-    Budget, CheckOptions, DtlDecider, Engine, Outcome, TextRetentionDecider, TopdownDecider,
-    Verdict,
+    CheckOptions, DtlDecider, Engine, Outcome, TextRetentionDecider, TopdownDecider, Verdict,
 };
 use tpx_topdown::{PathSym, Transducer};
 use tpx_treeauto::Nta;
@@ -88,14 +87,7 @@ pub struct FuzzConfig {
 impl FuzzConfig {
     /// The per-check governance derived from `fuel` / `timeout_ms`.
     pub fn check_options(&self) -> CheckOptions {
-        let mut budget = Budget::default();
-        if let Some(fuel) = self.fuel {
-            budget = budget.with_fuel(fuel);
-        }
-        if let Some(ms) = self.timeout_ms {
-            budget = budget.with_timeout(std::time::Duration::from_millis(ms));
-        }
-        CheckOptions::with_budget(budget)
+        CheckOptions::limits(self.fuel, self.timeout_ms, false)
     }
 }
 
@@ -762,7 +754,10 @@ fn invalid_topdown_witness(t: &Transducer, nta: &Nta, outcome: &Outcome) -> Opti
     match outcome {
         Outcome::Preserving => None,
         Outcome::Copying { path } => {
-            if !tpx_topdown::path_automaton_nta(nta).accepts(path) {
+            if !tpx_topdown::path_automaton_nta(nta, &tpx_trees::budget::BudgetHandle::unlimited())
+                .expect("unlimited budget")
+                .accepts(path)
+            {
                 Some("copying witness path is not a schema path".to_owned())
             } else if !tpx_topdown::path_automaton_transducer(t).accepts(path) {
                 Some("transducer has no run on the copying witness path".to_owned())
@@ -828,7 +823,10 @@ fn invalid_retention_witness(
     labels: &[Symbol],
     path: &[PathSym],
 ) -> Option<String> {
-    if !tpx_topdown::path_automaton_nta(nta).accepts(path) {
+    if !tpx_topdown::path_automaton_nta(nta, &tpx_trees::budget::BudgetHandle::unlimited())
+        .expect("unlimited budget")
+        .accepts(path)
+    {
         Some("retention witness path is not a schema path".to_owned())
     } else if !path
         .iter()

@@ -4,33 +4,19 @@
 //! text-preserving over `L(S)`?* — so "the analysis" was implicit in every
 //! type. With text-retention and output-conformance joining as peer
 //! analyses over the same schema×transducer pairs, the question being
-//! asked becomes data: an [`Analysis`] names the question, declares the
-//! witness shape its violations carry, and contributes a cache-key
-//! discriminant so analysis-specific artifacts of different analyses can
+//! asked becomes data: an [`Analysis`] names the question and contributes
+//! a cache-key discriminant so analysis-specific artifacts of different analyses can
 //! never collide in the shared [`crate::ArtifactCache`] — while
 //! analysis-*independent* artifacts (the schema path automaton, say) keep
 //! analysis-free stage keys and stay shared across every analysis that
 //! consults them.
 
-/// The shape of the diagnostic witness an analysis produces on violation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum WitnessKind {
-    /// A text path of the schema (a `Vec<PathSym>`), as in the copying
-    /// condition (Lemma 4.9) and the text-retention analysis.
-    Path,
-    /// A schema tree (text values are placeholders).
-    Tree,
-}
-
 /// Identifies one preservation analysis: a stable name (reports, CLI,
-/// trace attribution), the witness kind violations carry, and a
-/// discriminant folded into the cache keys of analysis-specific stages.
+/// trace attribution) and a discriminant folded into the cache keys of analysis-specific stages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Analysis {
     /// Stable analysis name, e.g. `"text-preservation"`.
     pub name: &'static str,
-    /// The witness shape of a violating outcome.
-    pub witness: WitnessKind,
     /// Folded into the `u64` cache key of every stage declared under this
     /// analysis, so two analyses keying a stage by the same content hash
     /// (e.g. both by a transducer hash) can never collide.
@@ -41,7 +27,6 @@ pub struct Analysis {
 /// (Definition 2.2) over the schema?
 pub const TEXT_PRESERVATION: Analysis = Analysis {
     name: "text-preservation",
-    witness: WitnessKind::Tree,
     discriminant: 0,
 };
 
@@ -49,14 +34,12 @@ pub const TEXT_PRESERVATION: Analysis = Analysis {
 /// text value below a node with one of the selected labels?
 pub const TEXT_RETENTION: Analysis = Analysis {
     name: "text-retention",
-    witness: WitnessKind::Path,
     discriminant: 1,
 };
 
 /// Typechecking: does `T(L(S))` stay inside a target schema?
 pub const OUTPUT_CONFORMANCE: Analysis = Analysis {
     name: "conformance",
-    witness: WitnessKind::Tree,
     discriminant: 2,
 };
 

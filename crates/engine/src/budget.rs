@@ -62,6 +62,20 @@ impl CheckOptions {
         self.degrade = Some(bound);
         self
     }
+
+    /// The options a fuel cap, a wall-clock cap in milliseconds and a
+    /// degrade flag describe (`None` = no limit), degrading with the
+    /// default bound: the one mapping from the CLI flags, the serve
+    /// frames and the fuzz configuration onto the governed check.
+    pub fn limits(fuel: Option<u64>, timeout_ms: Option<u64>, degrade: bool) -> Self {
+        CheckOptions {
+            budget: Budget {
+                fuel,
+                timeout: timeout_ms.map(Duration::from_millis),
+            },
+            degrade: degrade.then(DegradeBound::default),
+        }
+    }
 }
 
 /// Why a governed check failed to produce a verdict.
@@ -154,6 +168,14 @@ impl StageError for DtlDecideError {
     }
 }
 
+/// A stage that fails with a message (the `xslt/compile` stage) fails as
+/// [`DecisionError::Internal`] carrying that message.
+impl StageError for String {
+    fn at(self, _stage: &'static str) -> DecisionError {
+        DecisionError::Internal(self)
+    }
+}
+
 impl StageError for DtlError {
     fn at(self, _stage: &'static str) -> DecisionError {
         DecisionError::Internal(self.to_string())
@@ -185,5 +207,15 @@ mod tests {
         assert_eq!(o.budget.fuel, Some(10));
         assert_eq!(o.degrade.unwrap().max_nodes, 4);
         assert!(CheckOptions::unlimited().budget.is_unlimited());
+    }
+
+    #[test]
+    fn limits_map_fuel_milliseconds_and_degrade() {
+        let l = CheckOptions::limits(Some(7), Some(250), true);
+        assert_eq!(l.budget.fuel, Some(7));
+        assert_eq!(l.budget.timeout, Some(Duration::from_millis(250)));
+        assert_eq!(l.degrade, Some(DegradeBound::default()));
+        let none = CheckOptions::limits(None, None, false);
+        assert!(none.budget.is_unlimited() && none.degrade.is_none());
     }
 }

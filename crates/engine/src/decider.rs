@@ -374,7 +374,9 @@ fn validate_topdown_outcome(t: &Transducer, schema: &Nta, outcome: &Outcome) {
         Outcome::Preserving => {}
         Outcome::Copying { path } => {
             debug_assert!(
-                tpx_topdown::path_automaton_nta(schema).accepts(path),
+                tpx_topdown::path_automaton_nta(schema, &BudgetHandle::unlimited())
+                    .expect("unlimited budget")
+                    .accepts(path),
                 "topdown decider: copying witness path is not a schema path"
             );
             debug_assert!(

@@ -6,12 +6,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::budget::{CheckOptions, DecisionError};
+use crate::budget::{BudgetHandle, CheckOptions, DecisionError, StageError};
 use crate::cache::{panic_message, ArtifactCache, CacheStats};
 use crate::decider::{Decider, StageKey, Stages};
 use crate::scheduler::{execute, StageGraph};
 use crate::verdict::{StageReport, Verdict};
 use tpx_obs::{Metrics, Tracer};
+use tpx_topdown::StageCtx;
 use tpx_treeauto::Nta;
 
 /// One unit of batch work: a decider checked against a schema.
@@ -215,6 +216,28 @@ impl Engine {
         })
     }
 
+    /// Runs one cached stage outside any check, without a budget: the
+    /// work a front end does before it can hand the engine a decider (the
+    /// `xslt/compile` stage). Its span lands on the engine's tracer and its
+    /// report on the metrics registry, both from the one measurement
+    /// [`Stages::cached`] makes; the report is returned too.
+    pub fn stage<T, E>(
+        &self,
+        stage: StageKey,
+        size: impl FnOnce(&T) -> usize,
+        build: impl FnOnce(StageCtx<'_>) -> Result<T, E>,
+    ) -> Result<(Arc<T>, StageReport), DecisionError>
+    where
+        T: Send + Sync + 'static,
+        E: StageError + Send + 'static,
+    {
+        let (artifact, report) = self.one_stage(&BudgetHandle::unlimited(), |stages| {
+            stages.cached(stage, size, build)
+        })?;
+        record_stage_metrics(&self.metrics, &report);
+        Ok((artifact, report))
+    }
+
     /// Builds one declared artifact stage under a fresh budget from
     /// `options`, returning the stage's report.
     fn prefetch(
@@ -224,14 +247,27 @@ impl Engine {
         schema: &Nta,
         options: &CheckOptions,
     ) -> Result<StageReport, DecisionError> {
-        let budget = options.budget.start();
-        let mut stages = Stages::new(&self.cache, &budget, &self.tracer);
-        decider.prefetch_stage(stage, schema, &mut stages)?;
-        stages
+        self.one_stage(&options.budget.start(), |stages| {
+            decider.prefetch_stage(stage, schema, stages)
+        })
+        .map(|((), report)| report)
+    }
+
+    /// Runs `run` on a fresh stage recorder under `budget`, returning its
+    /// value and the report of the stage it ran.
+    fn one_stage<T>(
+        &self,
+        budget: &BudgetHandle,
+        run: impl FnOnce(&mut Stages<'_>) -> Result<T, DecisionError>,
+    ) -> Result<(T, StageReport), DecisionError> {
+        let mut stages = Stages::new(&self.cache, budget, &self.tracer);
+        let value = run(&mut stages)?;
+        let report = stages
             .into_stats()
             .stages
             .pop()
-            .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
+            .ok_or_else(|| DecisionError::Internal("a stage left no report".into()))?;
+        Ok((value, report))
     }
 
     /// Runs every task, returning verdicts in task order.

@@ -48,7 +48,7 @@ mod twogen;
 pub mod verdict;
 
 pub use analysis::{
-    analysis_by_name, Analysis, WitnessKind, ANALYSIS_NAMES, OUTPUT_CONFORMANCE, TEXT_PRESERVATION,
+    analysis_by_name, Analysis, ANALYSIS_NAMES, OUTPUT_CONFORMANCE, TEXT_PRESERVATION,
     TEXT_RETENTION,
 };
 pub use budget::{

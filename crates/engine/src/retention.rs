@@ -126,7 +126,9 @@ fn validate_retention_outcome(t: &Transducer, schema: &Nta, labels: &[Symbol], o
     use tpx_topdown::PathSym;
     if let Outcome::DeletesText { path } = outcome {
         debug_assert!(
-            tpx_topdown::path_automaton_nta(schema).accepts(path),
+            tpx_topdown::path_automaton_nta(schema, &tpx_trees::budget::BudgetHandle::unlimited())
+                .expect("unlimited budget")
+                .accepts(path),
             "retention decider: witness path is not a schema path"
         );
         debug_assert!(

@@ -125,7 +125,7 @@ pub fn compile_schema_artifacts(
     // Entering the stage costs one unit, so a zero-fuel budget fails fast
     // before any construction starts.
     ctx.budget.charge(1)?;
-    let a_n = path_automaton_nta(nta);
+    let a_n = path_automaton_nta(nta, ctx.budget)?;
     ctx.budget.charge(a_n.size() as u64)?;
     let mut path_alphabet: Vec<PathSym> = (0..nta.symbol_count() as u32)
         .map(|i| PathSym::Elem(Symbol(i)))

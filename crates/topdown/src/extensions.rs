@@ -121,7 +121,7 @@ mod tests {
     use crate::samples;
     use tpx_obs::Tracer;
     use tpx_schema::samples::recipe_dtd;
-    use tpx_trees::budget::{Budget, ExhaustReason};
+    use tpx_trees::budget::{Budget, BudgetHandle, ExhaustReason};
     use tpx_trees::samples::recipe_alphabet;
 
     #[test]
@@ -151,7 +151,9 @@ mod tests {
         let nta = recipe_dtd(&al).to_nta();
         let t = samples::example_4_2(&al);
         let w = deleted_text_under(&t, &nta, &[al.sym("comments")]).unwrap();
-        assert!(path_automaton_nta(&nta).accepts(&w));
+        assert!(path_automaton_nta(&nta, &BudgetHandle::unlimited())
+            .expect("unlimited budget")
+            .accepts(&w));
         assert!(!path_automaton_transducer(&t).accepts(&w));
     }
 

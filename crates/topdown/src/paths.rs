@@ -14,7 +14,7 @@
 use crate::transducer::{frontier_states, TdState, Transducer};
 use tpx_automata::{Nfa, StateId};
 use tpx_treeauto::Nta;
-use tpx_trees::budget::BudgetHandle;
+use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 use tpx_trees::{NodeLabel, Symbol, Tree};
 
 /// A symbol of a text path: an element label or the terminal `text` marker.
@@ -56,11 +56,13 @@ pub fn text_paths(t: &Tree) -> Vec<Vec<PathSym>> {
 ///
 /// NFA states are pairs `(q, σ)` ("the current node has NTA state `q` and
 /// label `σ`, and is completable to a valid subtree"), plus a start state
-/// and an accepting sink reached on the final `text` symbol.
-pub fn path_automaton_nta(nta: &Nta) -> Nfa<PathSym> {
-    let inhabited = nta
-        .inhabited_states(&BudgetHandle::unlimited())
-        .expect("unlimited budget");
+/// and an accepting sink reached on the final `text` symbol. The
+/// inhabited-state saturation it starts from is charged to `budget`.
+pub fn path_automaton_nta(
+    nta: &Nta,
+    budget: &BudgetHandle,
+) -> Result<Nfa<PathSym>, BudgetExceeded> {
+    let inhabited = nta.inhabited_states(budget)?;
     let n_syms = nta.symbol_count();
     let mut nfa: Nfa<PathSym> = Nfa::new();
     let start = nfa.add_state();
@@ -104,7 +106,7 @@ pub fn path_automaton_nta(nta: &Nta) -> Nfa<PathSym> {
             }
         }
     }
-    nfa.trim()
+    Ok(nfa.trim())
 }
 
 /// Lemma 4.8(2): the transducer path automaton `A_T`, accepting the text
@@ -163,7 +165,7 @@ mod tests {
     fn nta_path_automaton_accepts_exactly_tree_paths() {
         let mut al = recipe_alphabet();
         let nta = recipe_dtd(&al).to_nta();
-        let an = path_automaton_nta(&nta);
+        let an = path_automaton_nta(&nta, &BudgetHandle::unlimited()).expect("unlimited budget");
         let t = recipe_tree(&mut al);
         assert!(nta.accepts(&t));
         for p in text_paths(&t) {
@@ -195,7 +197,7 @@ mod tests {
         builder.rule("qb", "b", "qb"); // uninhabited
         builder.text_rule("qt");
         let nta = builder.finish();
-        let an = path_automaton_nta(&nta);
+        let an = path_automaton_nta(&nta, &BudgetHandle::unlimited()).expect("unlimited budget");
         assert!(an.is_empty());
     }
 
@@ -240,7 +242,7 @@ mod tests {
     fn path_automata_are_polynomial_in_input() {
         let al = recipe_alphabet();
         let nta = recipe_dtd(&al).to_nta();
-        let an = path_automaton_nta(&nta);
+        let an = path_automaton_nta(&nta, &BudgetHandle::unlimited()).expect("unlimited budget");
         let t = crate::samples::example_4_2(&al);
         let at = path_automaton_transducer(&t);
         // Loose sanity bounds: quadratic-ish, not exponential.

@@ -59,7 +59,11 @@ fn topdown_decider_vs_semantics_on_random_transducers() {
             CheckReport::Copying { path } => {
                 violating_count += 1;
                 // The path must be a schema path with a transducer run.
-                let a_n = tpx_topdown::path_automaton_nta(&schema);
+                let a_n = tpx_topdown::path_automaton_nta(
+                    &schema,
+                    &tpx_trees::budget::BudgetHandle::unlimited(),
+                )
+                .expect("unlimited budget");
                 let a_t = tpx_topdown::path_automaton_transducer(&t);
                 assert!(
                     a_n.accepts(path),

@@ -19,8 +19,16 @@ use tpx_workload::random_dtd;
 /// The path automata `A_N` (Lemma 4.8) of a seeded pair of random DTDs
 /// over `n_labels` labels, with their path alphabet `Σ ⊎ {text}`.
 fn path_pair(seed: u64, n_labels: usize) -> (Nfa<PathSym>, Nfa<PathSym>, Vec<PathSym>) {
-    let a = path_automaton_nta(&random_dtd(n_labels, seed).nta());
-    let b = path_automaton_nta(&random_dtd(n_labels, seed + 1000).nta());
+    let a = path_automaton_nta(
+        &random_dtd(n_labels, seed).nta(),
+        &BudgetHandle::unlimited(),
+    )
+    .expect("unlimited budget");
+    let b = path_automaton_nta(
+        &random_dtd(n_labels, seed + 1000).nta(),
+        &BudgetHandle::unlimited(),
+    )
+    .expect("unlimited budget");
     let mut alphabet: Vec<PathSym> = (0..n_labels as u32)
         .map(|i| PathSym::Elem(Symbol(i)))
         .collect();

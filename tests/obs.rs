@@ -272,3 +272,42 @@ fn every_stage_record_is_one_span_cold_and_warm() {
         }
     }
 }
+
+#[test]
+fn the_xslt_compile_record_is_one_span_cold_and_warm() {
+    use textpres::frontend::{prepare, AnalysisRequest, XSLT_COMPILE_STAGE};
+    const SCHEMA: &str = "start doc\nelem doc = (keep | text)*\nelem keep = text*\n";
+    const IDENTITY: &str = r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+  <xsl:template match="@*|node()">
+    <xsl:copy><xsl:apply-templates select="@*|node()"/></xsl:copy>
+  </xsl:template>
+</xsl:stylesheet>"#;
+    let tracer = Arc::new(Tracer::enabled());
+    let metrics = Arc::new(Metrics::enabled());
+    let engine = Engine::new()
+        .with_tracer(tracer.clone())
+        .with_metrics(metrics.clone());
+    let request = AnalysisRequest::<&str>::TextPreservation;
+    for hit in [false, true] {
+        let prepared = prepare(&engine, SCHEMA, IDENTITY, &request).expect("prepares");
+        let report = prepared.compile.expect("a stylesheet reports its compile");
+        assert_eq!(report.stage, XSLT_COMPILE_STAGE);
+        assert_eq!(report.cache_hit, Some(hit));
+        let exits: Vec<(&str, SpanFields)> = tracer
+            .take_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Exit { span, fields, .. } => Some((span, fields)),
+                TraceEvent::Enter { .. } => None,
+            })
+            .collect();
+        assert_eq!(exits.len(), 1, "one span per prepare: {exits:?}");
+        let (span, fields) = &exits[0];
+        assert_eq!(*span, XSLT_COMPILE_STAGE);
+        assert_eq!(fields.cache_hit, report.cache_hit);
+        assert_eq!(fields.artifact_size, report.artifact_size);
+    }
+    let counters = metrics.snapshot().counters;
+    assert_eq!(counters.get("stage/xslt/compile/misses"), Some(&1));
+    assert_eq!(counters.get("stage/xslt/compile/hits"), Some(&1));
+}

@@ -14,6 +14,7 @@ use textpres::engine::{
 };
 use textpres::prelude::*;
 use textpres::topdown::{path_automaton_nta, path_automaton_transducer, PathSym};
+use textpres::trees::budget::BudgetHandle;
 use textpres::trees::make_value_unique;
 use tpx_workload::{random_dtd, random_transducer};
 
@@ -95,7 +96,9 @@ fn retention_decider_matches_bounded_enumerate_and_run_oracle() {
                     Outcome::DeletesText { path } => {
                         deletions += 1;
                         assert!(
-                            path_automaton_nta(&nta).accepts(path),
+                            path_automaton_nta(&nta, &BudgetHandle::unlimited())
+                                .expect("unlimited budget")
+                                .accepts(path),
                             "{ctx}: witness path is not a schema path"
                         );
                         assert!(
