@@ -48,7 +48,7 @@
 //! element wrapping one call) or `(state / pattern)` (a bare call).
 
 use std::fmt;
-use tpx_diffcheck::{Case, DivergenceKind, DtlSpec, XsltSpec};
+use tpx_diffcheck::{Case, DivergenceKind, DtlSpec, Subject, XsltSpec};
 use tpx_dtl::{DtlBuilder, DtlTransducer, XPathPatterns};
 use tpx_schema::{Dtd, DtdBuilder};
 use tpx_topdown::{PathSym, RhsNode, Transducer, TransducerBuilder};
@@ -457,30 +457,34 @@ pub fn render_case(rc: &RegressionCase) -> String {
     for (_, name) in case.alpha.entries() {
         out.push_str(&format!("label {name}\n"));
     }
-    if !case.labels.is_empty() {
-        out.push_str("[labels]\n");
-        for name in &case.labels {
-            out.push_str(&format!("label {name}\n"));
+    if let Subject::Topdown { labels, .. } = &case.subject {
+        if !labels.is_empty() {
+            out.push_str("[labels]\n");
+            for name in labels {
+                out.push_str(&format!("label {name}\n"));
+            }
         }
     }
     out.push_str("[schema]\n");
     out.push_str(&render_schema(&case.starts, &case.decls));
-    if let Some(t) = &case.transducer {
-        out.push_str("[transducer]\n");
-        out.push_str(&render_transducer(t, &case.alpha));
-    }
-    if let Some(spec) = &case.dtl {
-        out.push_str("[dtl]\n");
-        out.push_str(&format!("dtlseed {}\n", spec.seed));
-        out.push_str(&format!("states {}\n", spec.n_states));
-        if !spec.drops.is_empty() {
-            let drops: Vec<String> = spec.drops.iter().map(|d| d.to_string()).collect();
-            out.push_str(&format!("drops {}\n", drops.join(",")));
+    match &case.subject {
+        Subject::Topdown { transducer, .. } => {
+            out.push_str("[transducer]\n");
+            out.push_str(&render_transducer(transducer, &case.alpha));
         }
-    }
-    if let Some(spec) = &case.xslt {
-        out.push_str("[xslt]\n");
-        out.push_str(&format!("xsltseed {}\n", spec.seed));
+        Subject::Dtl(spec) => {
+            out.push_str("[dtl]\n");
+            out.push_str(&format!("dtlseed {}\n", spec.seed));
+            out.push_str(&format!("states {}\n", spec.n_states));
+            if !spec.drops.is_empty() {
+                let drops: Vec<String> = spec.drops.iter().map(|d| d.to_string()).collect();
+                out.push_str(&format!("drops {}\n", drops.join(",")));
+            }
+        }
+        Subject::Xslt(spec) => {
+            out.push_str("[xslt]\n");
+            out.push_str(&format!("xsltseed {}\n", spec.seed));
+        }
     }
     if let Some(tree) = &case.tree {
         out.push_str("[tree]\n");
@@ -496,6 +500,10 @@ pub fn render_case(rc: &RegressionCase) -> String {
 /// header directive (`kind`, `seed`, `detail`) at most once, and `kind`
 /// and `seed` are required — a case whose seed is missing would silently
 /// replay a different instance if it defaulted, so it is an error instead.
+/// A case names exactly one subject — one of `[transducer]`, `[dtl]` and
+/// `[xslt]` — and only a `[transducer]` case may select `[labels]`: a
+/// case that lost its subject would otherwise replay as "no divergence"
+/// forever.
 pub fn parse_case(src: &str) -> Result<RegressionCase, FormatError> {
     let mut kind: Option<DivergenceKind> = None;
     let mut seed: Option<u64> = None;
@@ -516,6 +524,14 @@ pub fn parse_case(src: &str) -> Result<RegressionCase, FormatError> {
             };
             if bodies.iter().any(|(n, _, _)| Some(*n) == section) {
                 return err(line, format!("duplicate section [{name}]"));
+            }
+            if is_subject(name) {
+                if let Some((first, _, _)) = bodies.iter().find(|(n, _, _)| is_subject(n)) {
+                    return err(
+                        line,
+                        format!("a case has one subject, but [{name}] follows [{first}]"),
+                    );
+                }
             }
             bodies.push((section.unwrap(), line, String::new()));
             continue;
@@ -572,11 +588,17 @@ pub fn parse_case(src: &str) -> Result<RegressionCase, FormatError> {
     // omits the section when no label is selected, so an empty one means
     // the file was hand-truncated — and a retention recheck over zero
     // labels would panic downstream. Reject it at its header line.
-    if let Some((_, header_line, body)) = bodies.iter().find(|(n, _, _)| *n == "labels") {
-        if body.trim().is_empty() {
+    if let Some((_, header_line, entries)) = bodies.iter().find(|(n, _, _)| *n == "labels") {
+        if entries.trim().is_empty() {
             return err(
                 *header_line,
                 "[labels] section has no entries (delete the section or add `label <name>` lines)",
+            );
+        }
+        if body("transducer").is_none() {
+            return err(
+                *header_line,
+                "[labels] selects text-retention labels, which only a [transducer] case has",
             );
         }
     }
@@ -603,11 +625,20 @@ pub fn parse_case(src: &str) -> Result<RegressionCase, FormatError> {
     let dtd_probe = parse_schema(schema_src, &mut alpha)?;
     let _ = dtd_probe; // validated; the Case keeps declaration sources
     let (starts, decls) = schema_sources(schema_src);
-    let transducer = body("transducer")
-        .map(|src| parse_transducer(src, &alpha))
-        .transpose()?;
-    let dtl = body("dtl").map(parse_dtl_spec).transpose()?;
-    let xslt = body("xslt").map(parse_xslt_spec).transpose()?;
+    let subject = match (body("transducer"), body("dtl"), body("xslt")) {
+        (Some(src), _, _) => Subject::Topdown {
+            transducer: parse_transducer(src, &alpha)?,
+            labels,
+        },
+        (_, Some(src), _) => Subject::Dtl(parse_dtl_spec(src)?),
+        (_, _, Some(src)) => Subject::Xslt(parse_xslt_spec(src)?),
+        (None, None, None) => {
+            return err(
+                1,
+                "case needs a subject: one of [transducer], [dtl] or [xslt]",
+            )
+        }
+    };
     let tree = body("tree")
         .map(|src| parse_witness(src.trim(), &mut alpha))
         .transpose()?;
@@ -619,13 +650,15 @@ pub fn parse_case(src: &str) -> Result<RegressionCase, FormatError> {
             alpha,
             starts,
             decls,
-            transducer,
-            dtl,
-            xslt,
+            subject,
             tree,
-            labels,
         },
     })
+}
+
+/// Whether `section` names a case's subject.
+fn is_subject(section: &str) -> bool {
+    matches!(section, "transducer" | "dtl" | "xslt")
 }
 
 /// Extracts the `(starts, decls)` sources back out of a schema body that
@@ -858,11 +891,11 @@ text qt
                     ("keep".to_owned(), "text".to_owned()),
                     ("drop".to_owned(), "text".to_owned()),
                 ],
-                transducer: Some(t),
-                dtl: None,
-                xslt: None,
+                subject: Subject::Topdown {
+                    transducer: t,
+                    labels: vec!["keep".to_owned()],
+                },
                 tree: Some(tree),
-                labels: vec!["keep".to_owned()],
             },
         };
         let rendered = render_case(&rc);
@@ -875,7 +908,11 @@ text qt
         let orig: Vec<&str> = rc.case.alpha.entries().map(|(_, n)| n).collect();
         assert_eq!(names, orig);
         // Retention labels survive the round trip.
-        assert_eq!(parsed.case.labels, rc.case.labels);
+        let labels = |case: &Case| match &case.subject {
+            Subject::Topdown { labels, .. } => labels.clone(),
+            other => panic!("a transducer case, got {other:?}"),
+        };
+        assert_eq!(labels(&parsed.case), labels(&rc.case));
         // Re-rendering the parse is a fixpoint.
         assert_eq!(rendered, render_case(&parsed));
         // The schema language survives: the embedded tree still validates.
@@ -889,7 +926,8 @@ text qt
     fn case_envelope_is_strict() {
         let base = "kind translation-disagrees\nseed 7\n[alphabet]\nlabel doc\n\
                     [schema]\nstart doc\nelem doc = text\n";
-        assert!(parse_case(base).is_ok());
+        let subject = "[transducer]\ninitial q0\n";
+        assert!(parse_case(&format!("{base}{subject}")).is_ok());
         // Missing seed must not silently default to 0.
         let no_seed = "kind translation-disagrees\n[schema]\nstart doc\nelem doc = text\n";
         let e = parse_case(no_seed).unwrap_err();
@@ -903,7 +941,7 @@ text qt
         assert_eq!(parse_case(dup_kind).unwrap_err().line, 2);
         let dup_detail = "kind translation-disagrees\nseed 7\ndetail a\ndetail b\n";
         assert_eq!(parse_case(dup_detail).unwrap_err().line, 4);
-        let dup_section = format!("{base}[schema]\nstart doc\nelem doc = text\n");
+        let dup_section = format!("{base}[schema]\nstart doc\nelem doc = text\n{subject}");
         let e = parse_case(&dup_section).unwrap_err();
         assert!(e.message.contains("duplicate section [schema]"), "{e}");
         assert_eq!(e.line, 8, "{e}");
@@ -923,8 +961,42 @@ text qt
         let commented = format!("{src}# nothing selected\n");
         assert_eq!(parse_case(&commented).unwrap_err().line, 8);
         // A populated section still parses.
-        let ok = format!("{src}label doc\n");
-        assert_eq!(parse_case(&ok).unwrap().case.labels, vec!["doc"]);
+        let ok = format!("{src}label doc\n[transducer]\ninitial q0\n");
+        let Subject::Topdown { labels, .. } = parse_case(&ok).unwrap().case.subject else {
+            panic!("a transducer case");
+        };
+        assert_eq!(labels, vec!["doc"]);
+    }
+
+    /// A case envelope over a one-label schema, ready for its sections.
+    const ENVELOPE: &str = "kind preserving-but-violates\nseed 7\n[alphabet]\nlabel doc\n\
+                            [schema]\nstart doc\nelem doc = text\n";
+
+    #[test]
+    fn a_case_without_a_subject_is_a_line_numbered_error() {
+        let e = parse_case(&format!("{ENVELOPE}[tree]\ndoc(\"x\")\n")).unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        assert!(e.message.contains("subject"), "{e}");
+    }
+
+    #[test]
+    fn a_case_with_two_subjects_is_an_error_at_the_second() {
+        let src = format!("{ENVELOPE}[transducer]\ninitial q0\n[dtl]\ndtlseed 1\nstates 2\n");
+        let e = parse_case(&src).unwrap_err();
+        assert_eq!(e.line, 10, "{e}");
+        assert!(e.message.contains("[dtl] follows [transducer]"), "{e}");
+        let src = format!("{ENVELOPE}[xslt]\nxsltseed 1\n[transducer]\ninitial q0\n");
+        assert_eq!(parse_case(&src).unwrap_err().line, 10);
+    }
+
+    #[test]
+    fn labels_outside_a_transducer_case_are_an_error_at_their_header() {
+        let src = format!("{ENVELOPE}[labels]\nlabel doc\n[dtl]\ndtlseed 1\nstates 2\n");
+        let e = parse_case(&src).unwrap_err();
+        assert_eq!(e.line, 8, "{e}");
+        assert!(e.message.contains("[labels]"), "{e}");
+        let no_subject = format!("{ENVELOPE}[labels]\nlabel doc\n");
+        assert_eq!(parse_case(&no_subject).unwrap_err().line, 8);
     }
 
     #[test]
@@ -943,17 +1015,17 @@ text qt
                 alpha: schema.alpha.clone(),
                 starts: schema.starts.clone(),
                 decls: schema.decls.clone(),
-                transducer: None,
-                dtl: Some(spec.clone()),
-                xslt: None,
+                subject: Subject::Dtl(spec.clone()),
                 tree: None,
-                labels: Vec::new(),
             },
         };
         let parsed = parse_case(&render_case(&rc)).unwrap();
-        assert_eq!(parsed.case.dtl, Some(spec));
-        let a = rc.case.dtl_program().unwrap();
-        let b = parsed.case.dtl_program().unwrap();
+        let Subject::Dtl(parsed_spec) = &parsed.case.subject else {
+            panic!("a DTL case");
+        };
+        assert_eq!(parsed_spec, &spec);
+        let a = spec.program(&rc.case.alpha);
+        let b = parsed_spec.program(&parsed.case.alpha);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -969,19 +1041,19 @@ text qt
                 alpha: schema.alpha.clone(),
                 starts: schema.starts.clone(),
                 decls: schema.decls.clone(),
-                transducer: None,
-                dtl: None,
-                xslt: Some(spec.clone()),
+                subject: Subject::Xslt(spec.clone()),
                 tree: None,
-                labels: Vec::new(),
             },
         };
         let rendered = render_case(&rc);
         assert!(rendered.contains("[xslt]\nxsltseed 23\n"), "{rendered}");
         let parsed = parse_case(&rendered).unwrap();
-        assert_eq!(parsed.case.xslt, Some(spec.clone()));
+        let Subject::Xslt(parsed_spec) = &parsed.case.subject else {
+            panic!("an XSLT case");
+        };
+        assert_eq!(parsed_spec, &spec);
         assert_eq!(
-            parsed.case.xslt.unwrap().stylesheet(&parsed.case.alpha),
+            parsed_spec.stylesheet(&parsed.case.alpha),
             spec.stylesheet(&rc.case.alpha)
         );
         // Malformed / missing / duplicate seeds are errors (line numbers

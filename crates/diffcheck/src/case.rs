@@ -2,8 +2,8 @@
 //!
 //! A [`Case`] is a self-contained, serializable description of one
 //! differential check: a schema (as its DTD declaration sources, so it can
-//! be shrunk declaration-by-declaration), at most one transducer (top-down
-//! or DTL), and optionally one input tree. Together with a
+//! be shrunk declaration-by-declaration), exactly one [`Subject`] under
+//! test, and optionally one input tree. Together with a
 //! [`DivergenceKind`] it replays through [`crate::recheck`] — the fuzzer
 //! records cases that reproduce, the shrinker minimizes them, and the
 //! regression suite asserts they *no longer* reproduce once fixed.
@@ -67,11 +67,29 @@ impl XsltSpec {
     }
 }
 
-/// One differential check, fully materialized for replay.
-///
-/// Exactly one of `transducer` / `dtl` / `xslt` is expected to be set (a
-/// case pins one decision pipeline); `tree` is present for the per-tree
-/// divergence kinds and absent for purely symbolic ones.
+/// What a case checks: the one decision pipeline it pins.
+#[derive(Clone, Debug)]
+pub enum Subject {
+    /// A top-down transducer. A text-retention case also names its
+    /// selected labels (label names, resolved against the case alphabet at
+    /// replay time); every other analysis leaves `labels` empty.
+    Topdown {
+        /// The transducer under test.
+        transducer: Transducer,
+        /// The selected labels of a text-retention case.
+        labels: Vec<String>,
+    },
+    /// A random DTL program, regenerated from its spec.
+    Dtl(DtlSpec),
+    /// A fragment stylesheet, regenerated from its spec. The transducer
+    /// under test is the *compiled* stylesheet, cross-checked against
+    /// [`XsltSpec::expected`].
+    Xslt(XsltSpec),
+}
+
+/// One differential check, fully materialized for replay. `tree` is
+/// present for the per-tree divergence kinds and absent for purely
+/// symbolic ones.
 #[derive(Clone, Debug)]
 pub struct Case {
     /// The label alphabet shared by the schema, transducer, and tree.
@@ -80,19 +98,10 @@ pub struct Case {
     pub starts: Vec<String>,
     /// DTD `(element, content model)` declarations, in source order.
     pub decls: Vec<(String, String)>,
-    /// The top-down transducer under test, if this is a top-down case.
-    pub transducer: Option<Transducer>,
-    /// The DTL program under test, if this is a DTL case.
-    pub dtl: Option<DtlSpec>,
-    /// The fragment stylesheet under test, if this is an XSLT-frontend
-    /// case (the transducer under test is the *compiled* stylesheet,
-    /// cross-checked against [`XsltSpec::expected`]).
-    pub xslt: Option<XsltSpec>,
+    /// The pipeline under test.
+    pub subject: Subject,
     /// The input tree the divergence was observed on, if per-tree.
     pub tree: Option<Tree>,
-    /// The selected labels of a text-retention case (label names, resolved
-    /// against `alpha` at replay time). Empty for every other analysis.
-    pub labels: Vec<String>,
 }
 
 impl Case {
@@ -112,11 +121,6 @@ impl Case {
     pub fn schema_nta(&self) -> Nta {
         self.schema_dtd().to_nta()
     }
-
-    /// Regenerates the DTL program, if this is a DTL case.
-    pub fn dtl_program(&self) -> Option<DtlTransducer<XPathPatterns>> {
-        self.dtl.as_ref().map(|spec| spec.program(&self.alpha))
-    }
 }
 
 /// The class of disagreement a differential check can surface. Every kind
@@ -130,8 +134,8 @@ pub enum DivergenceKind {
     /// The symbolic decider's witness is outside the schema language or is
     /// not re-confirmed by the per-tree oracles.
     WitnessInvalid,
-    /// The bounded-enumeration baseline and the symbolic decider disagree
-    /// (in either direction, where the enumeration is conclusive).
+    /// The bounded-enumeration baseline finds a counterexample where the
+    /// symbolic decider says *preserving* (or the baseline itself fails).
     BoundedContradictsSymbolic,
     /// The Section 5.1 top-down→DTL translation produces a different output
     /// than the top-down transducer itself on some tree.
@@ -243,11 +247,8 @@ mod tests {
                 ("a0".to_owned(), "a1*".to_owned()),
                 ("a1".to_owned(), "text".to_owned()),
             ],
-            transducer: None,
-            dtl: None,
-            xslt: None,
+            subject: Subject::Xslt(XsltSpec { seed: 1 }),
             tree: None,
-            labels: Vec::new(),
         };
         let nta = case.schema_nta();
         assert!(!nta.is_empty(&BudgetHandle::unlimited()).unwrap());

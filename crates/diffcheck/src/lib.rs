@@ -8,22 +8,29 @@
 //! random `(schema, transducer)` pairs:
 //!
 //! * [`run_fuzz`] — the fuzz loop: generate, sample trees from `L(N)`,
-//!   compare every route against every other (all symbolic checks share
-//!   the [`tpx_engine::Engine`]'s artifact cache);
-//! * [`Case`] / [`DivergenceKind`] — a replayable, serializable reproducer
-//!   and the taxonomy of disagreements;
+//!   run each symbolic check once per seed (all of them share the
+//!   [`tpx_engine::Engine`]'s artifact cache) and hand the results to one
+//!   comparison per [`DivergenceKind`];
+//! * [`Case`] / [`Subject`] / [`DivergenceKind`] — a replayable,
+//!   serializable reproducer of one subject under test, and the taxonomy
+//!   of disagreements;
 //! * [`recheck`] — the single replay oracle shared by the fuzzer, the
-//!   shrinker, and the `tests/regressions` suite;
+//!   shrinker, and the `tests/regressions` suite: it recomputes the
+//!   symbolic results and calls the same comparison;
 //! * [`shrink_case`] — greedy 1-minimal shrinking (drop subtrees, delete
 //!   rules, suppress DTL additions, drop schema declarations).
 //!
-//! Every divergence in a [`FuzzReport`] is confirmed through [`recheck`]
-//! before it is reported, so a recorded case is replayable by construction.
+//! Witnesses are judged by each decider's own
+//! [`tpx_engine::Decider::witness_error`], the check the engine asserts in
+//! debug builds, so the fuzzer validates them in release builds without a
+//! second copy of the conditions. Every divergence in a [`FuzzReport`] is
+//! confirmed through [`recheck`] before it is reported, so a recorded case
+//! is replayable by construction.
 
 pub mod case;
 pub mod runner;
 pub mod shrink;
 
-pub use case::{Case, DivergenceKind, DtlSpec, XsltSpec};
+pub use case::{Case, DivergenceKind, DtlSpec, Subject, XsltSpec};
 pub use runner::{recheck, run_fuzz, Divergence, FuzzConfig, FuzzReport};
 pub use shrink::shrink_case;

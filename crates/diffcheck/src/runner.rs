@@ -4,26 +4,34 @@
 //! through `tpx-workload`, samples trees from the schema language, and
 //! cross-checks every independent computation of the text-preservation
 //! facts against every other (see [`DivergenceKind`] for the pairs).
-//! Whenever two disagree, the failing inputs are packaged as a [`Case`],
-//! re-confirmed through [`recheck`] (so every recorded divergence is
-//! replayable by construction), shrunk to a 1-minimal reproducer, and
-//! returned in the [`FuzzReport`].
 //!
-//! [`recheck`] is the single source of truth for "does this case still
-//! diverge?": the fuzzer, the shrinker, and the `tests/regressions`
-//! replay suite all go through it.
+//! Each divergence kind is decided by one comparison function. It reads a
+//! case's subject (regenerated into the transducers it runs), its tree,
+//! its schema NTA and the subject's symbolic results as arguments. The
+//! fuzzer runs each symbolic check once per seed through the engine and
+//! hands the results to every comparison of the seed; [`recheck`]
+//! computes them afresh and calls the same comparison. A witness is
+//! judged by its decider's own [`Decider::witness_error`], the check the
+//! engine asserts in debug builds.
+//!
+//! Whenever a comparison fires, the failing inputs are packaged as a
+//! [`Case`], re-confirmed through [`recheck`] (so every recorded divergence
+//! is replayable by construction), shrunk to a 1-minimal reproducer, and
+//! returned in the [`FuzzReport`]. [`recheck`] is the single source of
+//! truth for "does this case still diverge?": the fuzzer, the shrinker,
+//! and the `tests/regressions` replay suite all go through it.
 
-use tpx_dtl::pattern::PatternLanguage;
 use tpx_dtl::{DtlTransducer, XPathPatterns};
 use tpx_engine::{
-    CheckOptions, DtlDecider, Engine, Outcome, TextRetentionDecider, TopdownDecider, Verdict,
+    CheckOptions, Decider, DecisionError, DtlDecider, Engine, Outcome, TextRetentionDecider,
+    TopdownDecider,
 };
-use tpx_topdown::{PathSym, Transducer};
+use tpx_topdown::Transducer;
 use tpx_treeauto::Nta;
-use tpx_trees::{make_value_unique, NodeLabel, Symbol, Tree};
+use tpx_trees::{make_value_unique, Alphabet, NodeLabel, Symbol, Tree};
 use tpx_workload::{random_dtd, random_schema_tree, random_transducer, RandomSchema};
 
-use crate::case::{Case, DivergenceKind, DtlSpec, XsltSpec};
+use crate::case::{Case, DivergenceKind, DtlSpec, Subject, XsltSpec};
 use crate::shrink::shrink_case;
 
 /// Knobs of one fuzz run. The bounded-enumeration bounds are part of the
@@ -55,9 +63,9 @@ pub struct FuzzConfig {
     pub max_dtl_size: usize,
     /// Max nodes for the bounded-enumeration baseline.
     pub bounded_max_nodes: usize,
-    /// Tree-count cap for the bounded-enumeration baseline; the reverse
-    /// direction of the bounded check only applies when the enumeration
-    /// stayed under this cap (i.e. was exhaustive up to `bounded_max_nodes`).
+    /// Tree-count cap for the bounded-enumeration baseline: it searches at
+    /// most this many schema trees for a counterexample to a symbolic
+    /// "preserving".
     pub bounded_limit: usize,
     /// Whether to shrink divergences before reporting them.
     pub shrink: bool,
@@ -242,223 +250,435 @@ fn record(
     });
 }
 
-/// Runs one symbolic check under the configured per-check budget. Budget
-/// exhaustion is counted and the check skipped (`None`); any other failure
-/// (a panic or internal error, isolated by the engine) is itself a
-/// divergence in the decider, recorded under
-/// [`DivergenceKind::DeciderError`].
-fn governed_check(
-    engine: &Engine,
-    cfg: &FuzzConfig,
+/// A route's symbolic answer: the outcome of one check, or why it has none.
+type Symbolic = Result<Outcome, DecisionError>;
+
+/// A case's subject, regenerated into what its comparisons run.
+enum Route<'a> {
+    /// A top-down transducer and its Section 5.1 DTL translation.
+    Topdown {
+        t: &'a Transducer,
+        translation: DtlTransducer<XPathPatterns>,
+    },
+    /// A top-down transducer under the text-retention analysis.
+    Retention {
+        t: &'a Transducer,
+        labels: Vec<Symbol>,
+    },
+    /// A random DTL program.
+    Dtl(DtlTransducer<XPathPatterns>),
+    /// The compiled fragment stylesheet and its expected direct
+    /// translation, or the account of why the compile is not clean.
+    Xslt(Result<(Transducer, Transducer), String>),
+}
+
+impl<'a> Route<'a> {
+    fn of(alpha: &Alphabet, subject: &'a Subject) -> Self {
+        match subject {
+            Subject::Topdown { transducer, labels } if labels.is_empty() => Route::Topdown {
+                t: transducer,
+                translation: tpx_dtl::from_topdown(transducer),
+            },
+            Subject::Topdown { transducer, labels } => Route::Retention {
+                t: transducer,
+                labels: labels.iter().filter_map(|l| alpha.get(l)).collect(),
+            },
+            Subject::Dtl(spec) => Route::Dtl(spec.program(alpha)),
+            Subject::Xslt(spec) => Route::Xslt(compile_against_expected(alpha, spec)),
+        }
+    }
+
+    /// The deciders of the route's symbolic checks, in order.
+    fn deciders(&self) -> Vec<Box<dyn Decider + '_>> {
+        match self {
+            Route::Topdown { t, .. } => vec![Box::new(TopdownDecider::new(t))],
+            Route::Retention { t, labels } => {
+                vec![Box::new(TextRetentionDecider::new(t, labels.clone()))]
+            }
+            Route::Dtl(prog) => vec![Box::new(DtlDecider::new(prog))],
+            Route::Xslt(Ok((compiled, expected))) => vec![
+                Box::new(TopdownDecider::new(compiled)),
+                Box::new(TopdownDecider::new(expected)),
+            ],
+            Route::Xslt(Err(_)) => Vec::new(),
+        }
+    }
+
+    /// The route's symbolic results: one governed engine check per decider.
+    fn governed(&self, engine: &Engine, nta: &Nta, cfg: &FuzzConfig) -> Vec<Symbolic> {
+        self.deciders()
+            .iter()
+            .map(|d| {
+                engine
+                    .check_governed(d.as_ref(), nta, &cfg.check_options())
+                    .map(|v| v.outcome)
+            })
+            .collect()
+    }
+
+    /// The route's symbolic results through the raw one-shot pipelines,
+    /// which do not assert witness validity the way the engine does in
+    /// debug builds.
+    fn one_shot(&self, nta: &Nta) -> Vec<Symbolic> {
+        match self {
+            Route::Topdown { t, .. } => vec![Ok(tpx_topdown::is_text_preserving(t, nta).into())],
+            Route::Dtl(prog) => vec![Ok(match tpx_dtl::dtl_text_preserving(prog, nta) {
+                tpx_dtl::DtlCheckReport::Preserving => Outcome::Preserving,
+                tpx_dtl::DtlCheckReport::NotPreserving { witness } => {
+                    Outcome::NotPreserving { witness }
+                }
+            })],
+            Route::Retention { .. } | Route::Xslt(_) => Vec::new(),
+        }
+    }
+}
+
+/// What one comparison reads: a case's route and tree, its schema NTA, and
+/// the route's symbolic results (empty where the comparison reads none).
+struct Instance<'a> {
+    route: &'a Route<'a>,
+    nta: &'a Nta,
+    /// A tree of the schema language: the fuzzer samples or enumerates it
+    /// from the schema, and [`recheck`] refuses a case whose tree is not.
+    tree: Option<&'a Tree>,
+    symbolic: &'a [Symbolic],
+    cfg: &'a FuzzConfig,
+}
+
+impl Instance<'_> {
+    /// The route's one symbolic outcome, if its check answered.
+    fn outcome(&self) -> Option<&Outcome> {
+        match self.symbolic {
+            [Ok(outcome)] => Some(outcome),
+            _ => None,
+        }
+    }
+}
+
+/// The one comparison behind `kind`: the account of the divergence when
+/// the instance shows it, `None` when it does not.
+fn divergence(kind: DivergenceKind, i: &Instance<'_>) -> Option<String> {
+    match kind {
+        DivergenceKind::PreservingButViolates => preserving_but_violates(i),
+        DivergenceKind::WitnessInvalid => witness_invalid(i),
+        DivergenceKind::BoundedContradictsSymbolic => bounded_contradicts_symbolic(i),
+        DivergenceKind::TranslationDisagrees => translation_disagrees(i),
+        DivergenceKind::DtlLemmaVsOperational => dtl_lemma_vs_operational(i),
+        DivergenceKind::DtlTransformError => dtl_transform_error(i),
+        DivergenceKind::DeciderError => decider_error(i),
+        DivergenceKind::RetentionDisagrees => retention_disagrees(i),
+        DivergenceKind::XsltCompileDisagrees => xslt_compile_disagrees(i),
+    }
+}
+
+/// `preserving-but-violates`: the decider says preserving, yet the
+/// per-tree oracle convicts the case's schema tree (the semantic
+/// definitions on its value-unique version for a top-down transducer, the
+/// operational copying and rearranging checks for a DTL program).
+fn preserving_but_violates(i: &Instance<'_>) -> Option<String> {
+    if !i.outcome()?.is_preserving() {
+        return None;
+    }
+    let tree = i.tree?;
+    let (decider, violates) = match i.route {
+        Route::Topdown { t, .. } => (
+            "topdown",
+            !tpx_topdown::semantic::text_preserving_on(t, &unique_tree(tree)),
+        ),
+        Route::Dtl(prog) => (
+            "dtl",
+            matches!(tpx_dtl::config::copying_on(prog, tree), Ok(true))
+                || matches!(tpx_dtl::config::rearranging_on(prog, tree), Ok(true)),
+        ),
+        Route::Retention { .. } | Route::Xslt(_) => return None,
+    };
+    violates.then(|| format!("{decider} decider says preserving; sampled tree violates"))
+}
+
+/// `witness-invalid`: a witness fails its decider's
+/// [`Decider::witness_error`].
+fn witness_invalid(i: &Instance<'_>) -> Option<String> {
+    i.route
+        .deciders()
+        .iter()
+        .zip(i.symbolic)
+        .find_map(|(decider, symbolic)| decider.witness_error(i.nta, symbolic.as_ref().ok()?))
+}
+
+/// `bounded-contradicts-symbolic`: the bounded baseline finds a
+/// counterexample where the decider says preserving, or the baseline
+/// itself fails. A top-down transducer is searched through its DTL
+/// translation, whose per-tree lemmas drive the baseline.
+fn bounded_contradicts_symbolic(i: &Instance<'_>) -> Option<String> {
+    let outcome = i.outcome()?;
+    let prog = match i.route {
+        Route::Topdown { translation, .. } => translation,
+        Route::Dtl(prog) => prog,
+        Route::Retention { .. } | Route::Xslt(_) => return None,
+    };
+    let (max_nodes, limit) = (i.cfg.bounded_max_nodes, i.cfg.bounded_limit);
+    match tpx_dtl::bounded::bounded_counterexample(prog, i.nta, max_nodes, limit) {
+        Err(e) => Some(format!("bounded baseline raised {e:?}")),
+        Ok(Some(ce)) if outcome.is_preserving() => Some(format!(
+            "bounded baseline found a counterexample of {} nodes; symbolic says preserving",
+            ce.node_count()
+        )),
+        Ok(_) => None,
+    }
+}
+
+/// `translation-disagrees`: the Section 5.1 translation transforms the
+/// case's schema tree differently than the top-down transducer.
+fn translation_disagrees(i: &Instance<'_>) -> Option<String> {
+    let (Route::Topdown { t, translation }, Some(tree)) = (i.route, i.tree) else {
+        return None;
+    };
+    matches!(translation.transform(tree), Ok(out) if out != t.transform(tree))
+        .then(|| "from_topdown(T) and T transform a tree differently".to_owned())
+}
+
+/// `dtl-lemma-vs-operational`: the Lemma 5.4/5.5 configuration-graph
+/// checks disagree with the operational oracles on the case's schema tree.
+fn dtl_lemma_vs_operational(i: &Instance<'_>) -> Option<String> {
+    let (Route::Dtl(prog), Some(tree)) = (i.route, i.tree) else {
+        return None;
+    };
+    let lemma_copy = tpx_dtl::config::copying_lemma_5_4(prog, tree);
+    let oper_copy = tpx_dtl::config::copying_on(prog, tree);
+    match (&lemma_copy, &oper_copy) {
+        (Ok(a), Ok(b)) if a == b => {}
+        _ => {
+            return Some(format!(
+                "copying: lemma 5.4 = {lemma_copy:?}, operational = {oper_copy:?}"
+            ))
+        }
+    }
+    let lemma_re = tpx_dtl::config::rearranging_lemma_5_5(prog, tree);
+    let oper_re = tpx_dtl::config::rearranging_on(prog, tree);
+    match (&lemma_re, &oper_re) {
+        (Ok(a), Ok(b)) if a == b => None,
+        _ => Some(format!(
+            "rearranging: lemma 5.5 = {lemma_re:?}, operational = {oper_re:?}"
+        )),
+    }
+}
+
+/// `dtl-transform-error`: a DTL program (generated, or translated from a
+/// top-down transducer; deterministic and terminating either way) raises
+/// an error on the case's schema tree.
+fn dtl_transform_error(i: &Instance<'_>) -> Option<String> {
+    let (prog, name) = match i.route {
+        Route::Topdown { translation, .. } => (translation, "from_topdown(T)"),
+        Route::Dtl(prog) => (prog, "generated DTL program"),
+        Route::Retention { .. } | Route::Xslt(_) => return None,
+    };
+    let error = prog.transform(i.tree?).err()?;
+    Some(format!("{name} raised {error:?}"))
+}
+
+/// `decider-error`: a symbolic check failed for a reason other than its
+/// budget.
+fn decider_error(i: &Instance<'_>) -> Option<String> {
+    i.symbolic.iter().find_map(|symbolic| match symbolic {
+        Err(e) if !e.is_resource_exhausted() => Some(e.to_string()),
+        _ => None,
+    })
+}
+
+/// `retention-disagrees`: the retention decider says the selected labels
+/// keep their text, yet the case's schema tree loses a value below one of
+/// them; or its answer fails [`Decider::witness_error`].
+fn retention_disagrees(i: &Instance<'_>) -> Option<String> {
+    let Route::Retention { t, labels } = i.route else {
+        return None;
+    };
+    match i.outcome()? {
+        Outcome::Preserving => semantically_deleted_under(t, i.tree?, labels).then(|| {
+            "retention decider says retains; a schema tree loses a text value below a \
+             selected label"
+                .to_owned()
+        }),
+        outcome => TextRetentionDecider::new(t, labels.clone()).witness_error(i.nta, outcome),
+    }
+}
+
+/// `xslt-compile-disagrees`: the generated fragment stylesheet does not
+/// compile cleanly; or the compiled and expected transducers transform the
+/// case's schema tree differently; or, for a case without a tree, their
+/// text-preservation verdicts differ.
+fn xslt_compile_disagrees(i: &Instance<'_>) -> Option<String> {
+    let Route::Xslt(compile) = i.route else {
+        return None;
+    };
+    let (compiled, expected) = match compile {
+        Ok(pair) => pair,
+        Err(detail) => return Some(detail.clone()),
+    };
+    if let Some(tree) = i.tree {
+        return (compiled.transform(tree) != expected.transform(tree)).then(|| {
+            "compiled stylesheet and expected transducer transform a tree differently".to_owned()
+        });
+    }
+    let [Ok(got), Ok(want)] = i.symbolic else {
+        return None;
+    };
+    (got.is_preserving() != want.is_preserving()).then(|| {
+        format!(
+            "verdicts disagree: compiled stylesheet preserving = {}, \
+             expected transducer preserving = {}",
+            got.is_preserving(),
+            want.is_preserving()
+        )
+    })
+}
+
+/// One subject of a fuzz seed: its route, regenerated once, and the
+/// route's symbolic results, computed once through the engine and handed
+/// to every comparison of the seed.
+struct Trial<'a> {
+    engine: &'a Engine,
+    cfg: &'a FuzzConfig,
     seed: u64,
-    decider: &dyn tpx_engine::Decider,
-    nta: &Nta,
-    case: Case,
-    report: &mut FuzzReport,
-) -> Option<Verdict> {
-    report.checks += 1;
-    match engine.check_governed(decider, nta, &cfg.check_options()) {
-        Ok(verdict) => Some(verdict),
-        Err(e) if e.is_resource_exhausted() => {
-            report.exhausted += 1;
-            None
+    schema: &'a RandomSchema,
+    nta: &'a Nta,
+    subject: &'a Subject,
+    route: Route<'a>,
+    symbolic: Vec<Symbolic>,
+}
+
+impl<'a> Trial<'a> {
+    fn new(
+        engine: &'a Engine,
+        cfg: &'a FuzzConfig,
+        seed: u64,
+        schema: &'a RandomSchema,
+        nta: &'a Nta,
+        subject: &'a Subject,
+    ) -> Self {
+        Trial {
+            engine,
+            cfg,
+            seed,
+            schema,
+            nta,
+            subject,
+            route: Route::of(&schema.alpha, subject),
+            symbolic: Vec::new(),
         }
-        Err(e) => {
-            record(
-                engine,
-                cfg,
-                seed,
-                DivergenceKind::DeciderError,
-                format!("{e}"),
-                case,
-                report,
-            );
-            None
-        }
+    }
+
+    /// Runs the route's symbolic checks, each one cross-check. A check that
+    /// exhausts its budget is counted and skipped; any other failure is a
+    /// `decider-error`. Returns whether every check answered.
+    fn decide(&mut self, report: &mut FuzzReport) -> bool {
+        self.symbolic = self.route.governed(self.engine, self.nta, self.cfg);
+        report.checks += self.symbolic.len() as u64;
+        report.exhausted += self
+            .symbolic
+            .iter()
+            .filter(|s| matches!(s, Err(e) if e.is_resource_exhausted()))
+            .count() as u64;
+        self.compare(DivergenceKind::DeciderError, None, report);
+        self.symbolic.iter().all(Result::is_ok)
+    }
+
+    /// Whether the route's one symbolic check said preserving.
+    fn preserving(&self) -> bool {
+        matches!(self.symbolic.as_slice(), [Ok(Outcome::Preserving)])
+    }
+
+    /// Runs `kind`'s comparison on `tree` and records the divergence if it
+    /// fires; returns whether it fired.
+    fn compare(&self, kind: DivergenceKind, tree: Option<&Tree>, report: &mut FuzzReport) -> bool {
+        let instance = Instance {
+            route: &self.route,
+            nta: self.nta,
+            tree,
+            symbolic: &self.symbolic,
+            cfg: self.cfg,
+        };
+        let Some(detail) = divergence(kind, &instance) else {
+            return false;
+        };
+        let case = Case {
+            alpha: self.schema.alpha.clone(),
+            starts: self.schema.starts.clone(),
+            decls: self.schema.decls.clone(),
+            subject: self.subject.clone(),
+            tree: tree.cloned(),
+        };
+        record(self.engine, self.cfg, self.seed, kind, detail, case, report);
+        true
     }
 }
 
 /// One top-down seed: random DTD + random top-down transducer.
 fn fuzz_topdown_seed(engine: &Engine, cfg: &FuzzConfig, seed: u64, report: &mut FuzzReport) {
+    use DivergenceKind as K;
     let schema = random_dtd(cfg.n_labels, seed);
     let nta = schema.nta();
     let t = random_transducer(&schema.alpha, cfg.n_states, 0.8, transducer_seed(seed));
-    let case = |tree: Option<Tree>| topdown_case(&schema, &t, tree);
-
-    let verdict = governed_check(
-        engine,
-        cfg,
-        seed,
-        &TopdownDecider::new(&t),
-        &nta,
-        case(None),
-        report,
-    );
-
-    // Witness validation (mirrors the engine's debug-only assertions, but
-    // as a reportable check in release builds too).
-    if let Some(verdict) = &verdict {
-        if let Some(detail) = invalid_topdown_witness(&t, &nta, &verdict.outcome) {
-            record(
-                engine,
-                cfg,
-                seed,
-                DivergenceKind::WitnessInvalid,
-                detail,
-                case(None),
-                report,
-            );
-        }
+    let subject = Subject::Topdown {
+        transducer: t.clone(),
+        labels: Vec::new(),
+    };
+    let mut trial = Trial::new(engine, cfg, seed, &schema, &nta, &subject);
+    let decided = trial.decide(report);
+    if decided {
+        trial.compare(K::WitnessInvalid, None, report);
         report.checks += 1;
     }
-
     let trees = sample_trees(&nta, cfg, seed);
-    let dtl = tpx_dtl::from_topdown(&t);
     for tree in &trees {
-        // Symbolic "preserving" vs the per-tree oracle on the value-unique
-        // version of a sampled schema tree.
-        if let Some(verdict) = &verdict {
-            let unique = unique_tree(tree);
-            if verdict.is_preserving() && !tpx_topdown::semantic::text_preserving_on(&t, &unique) {
-                record(
-                    engine,
-                    cfg,
-                    seed,
-                    DivergenceKind::PreservingButViolates,
-                    "topdown decider says preserving; sampled tree violates".to_owned(),
-                    case(Some(tree.clone())),
-                    report,
-                );
-            }
+        if decided {
+            trial.compare(K::PreservingButViolates, Some(tree), report);
             report.checks += 1;
         }
-
         // The top-down→DTL translation must transform identically.
-        match dtl.transform(tree) {
-            Ok(out) if out == t.transform(tree) => {}
-            Ok(_) => record(
-                engine,
-                cfg,
-                seed,
-                DivergenceKind::TranslationDisagrees,
-                "from_topdown(T) and T transform a tree differently".to_owned(),
-                case(Some(tree.clone())),
-                report,
-            ),
-            Err(e) => record(
-                engine,
-                cfg,
-                seed,
-                DivergenceKind::DtlTransformError,
-                format!("from_topdown(T) raised {e:?}"),
-                case(Some(tree.clone())),
-                report,
-            ),
-        }
+        trial.compare(K::TranslationDisagrees, Some(tree), report);
+        trial.compare(K::DtlTransformError, Some(tree), report);
         report.checks += 1;
     }
-
-    // Bounded enumeration vs the symbolic verdict (via the DTL translation,
-    // whose per-tree lemmas drive the bounded baseline).
-    if let Some(verdict) = &verdict {
-        if let Some(detail) = bounded_disagreement(&dtl, &nta, verdict.outcome.is_preserving(), cfg)
-        {
-            record(
-                engine,
-                cfg,
-                seed,
-                DivergenceKind::BoundedContradictsSymbolic,
-                detail,
-                case(None),
-                report,
-            );
-        }
+    if decided {
+        trial.compare(K::BoundedContradictsSymbolic, None, report);
         report.checks += 1;
     }
-
     if cfg.retention {
-        fuzz_retention(engine, cfg, seed, &schema, &t, &nta, &trees, report);
+        fuzz_retention(&trial, &t, &trees, report);
     }
 }
 
-/// The text-retention sweep of one top-down seed: for each schema label,
-/// the symbolic [`TextRetentionDecider`] verdict is cross-checked against
-/// the per-tree semantic oracle — on the sampled trees and on the bounded
-/// enumeration — and a deleted-path witness is re-validated through the
-/// path automata.
-#[allow(clippy::too_many_arguments)]
-fn fuzz_retention(
-    engine: &Engine,
-    cfg: &FuzzConfig,
-    seed: u64,
-    schema: &RandomSchema,
-    t: &Transducer,
-    nta: &Nta,
-    trees: &[Tree],
-    report: &mut FuzzReport,
-) {
-    let enumerated =
-        tpx_dtl::bounded::enumerate_schema_trees(nta, cfg.bounded_max_nodes, cfg.bounded_limit);
-    for label in schema.alpha.symbols() {
-        let labels = [label];
-        let decider = TextRetentionDecider::new(t, labels.to_vec());
-        let Some(verdict) = governed_check(
-            engine,
-            cfg,
-            seed,
-            &decider,
-            nta,
-            retention_case(schema, t, label, None),
-            report,
-        ) else {
-            continue;
+/// The text-retention sweep of one top-down seed: per schema label, the
+/// symbolic [`TextRetentionDecider`] verdict is compared against the
+/// per-tree deleted-text oracle on the sampled trees and the bounded
+/// enumeration, and a deleted-path witness against its decider's
+/// [`Decider::witness_error`].
+fn fuzz_retention(seed: &Trial<'_>, t: &Transducer, trees: &[Tree], report: &mut FuzzReport) {
+    let (cfg, alpha) = (seed.cfg, &seed.schema.alpha);
+    let enumerated = tpx_dtl::bounded::enumerate_schema_trees(
+        seed.nta,
+        cfg.bounded_max_nodes,
+        cfg.bounded_limit,
+    );
+    for label in alpha.symbols() {
+        let subject = Subject::Topdown {
+            transducer: t.clone(),
+            labels: vec![alpha.name(label).to_owned()],
         };
-        match &verdict.outcome {
-            Outcome::Preserving => {
-                // "Retains everything" must hold on every tree we can lay
-                // hands on: the sampled trees and the bounded enumeration.
-                for tree in trees.iter().chain(&enumerated) {
-                    if semantically_deleted_under(t, tree, &labels) {
-                        record(
-                            engine,
-                            cfg,
-                            seed,
-                            DivergenceKind::RetentionDisagrees,
-                            format!(
-                                "retention decider says retains under {:?}; a schema tree \
-                                 loses a text value there",
-                                schema.alpha.name(label)
-                            ),
-                            retention_case(schema, t, label, Some(tree.clone())),
-                            report,
-                        );
-                        break;
-                    }
-                }
-            }
-            Outcome::DeletesText { path } => {
-                if let Some(detail) = invalid_retention_witness(t, nta, &labels, path) {
-                    record(
-                        engine,
-                        cfg,
-                        seed,
-                        DivergenceKind::RetentionDisagrees,
-                        detail,
-                        retention_case(schema, t, label, None),
-                        report,
-                    );
-                }
-            }
-            other => {
-                record(
-                    engine,
-                    cfg,
-                    seed,
-                    DivergenceKind::RetentionDisagrees,
-                    format!("retention decider produced a foreign outcome: {other:?}"),
-                    retention_case(schema, t, label, None),
-                    report,
-                );
+        let mut trial = Trial::new(seed.engine, cfg, seed.seed, seed.schema, seed.nta, &subject);
+        if !trial.decide(report) {
+            continue;
+        }
+        // "Retains everything" must hold on every tree at hand; any other
+        // answer is one witness to check.
+        let at_hand: Vec<Option<&Tree>> = if trial.preserving() {
+            trees.iter().chain(&enumerated).map(Some).collect()
+        } else {
+            vec![None]
+        };
+        for tree in at_hand {
+            if trial.compare(DivergenceKind::RetentionDisagrees, tree, report) {
+                break;
             }
         }
         report.checks += 1;
@@ -467,42 +687,20 @@ fn fuzz_retention(
 
 /// One DTL seed: random DTD + random DTL program.
 fn fuzz_dtl_seed(engine: &Engine, cfg: &FuzzConfig, seed: u64, report: &mut FuzzReport) {
+    use DivergenceKind as K;
     let schema = random_dtd(cfg.n_labels.min(2), seed);
     let nta = schema.nta();
-    let spec = DtlSpec {
+    let subject = Subject::Dtl(DtlSpec {
         seed: transducer_seed(seed),
         n_states: cfg.n_states,
         drops: Vec::new(),
-    };
-    let prog = spec.program(&schema.alpha);
-    let case = |tree: Option<Tree>| dtl_case(&schema, &spec, tree);
-
+    });
+    let mut trial = Trial::new(engine, cfg, seed, &schema, &nta, &subject);
     let trees = sample_trees(&nta, cfg, seed);
     for tree in &trees {
-        if let Some(detail) = lemma_vs_operational(&prog, tree) {
-            record(
-                engine,
-                cfg,
-                seed,
-                DivergenceKind::DtlLemmaVsOperational,
-                detail,
-                case(Some(tree.clone())),
-                report,
-            );
-        }
-        report.checks += 1;
-        if prog.transform(tree).is_err() {
-            record(
-                engine,
-                cfg,
-                seed,
-                DivergenceKind::DtlTransformError,
-                "generated DTL program raised an error".to_owned(),
-                case(Some(tree.clone())),
-                report,
-            );
-        }
-        report.checks += 1;
+        trial.compare(K::DtlLemmaVsOperational, Some(tree), report);
+        trial.compare(K::DtlTransformError, Some(tree), report);
+        report.checks += 2;
     }
 
     if !cfg.dtl_symbolic {
@@ -510,67 +708,28 @@ fn fuzz_dtl_seed(engine: &Engine, cfg: &FuzzConfig, seed: u64, report: &mut Fuzz
     }
     // Oversized programs skip the symbolic cross-check; count the gap and
     // leave a trace event rather than dropping the instance silently.
-    if prog.size() > cfg.max_dtl_size {
-        report.dtl_skipped += 1;
-        engine
-            .tracer()
-            .span("diffcheck/dtl-skip")
-            .exit_with(tpx_engine::SpanFields::new().size(prog.size()));
+    if let Route::Dtl(prog) = &trial.route {
+        if prog.size() > cfg.max_dtl_size {
+            report.dtl_skipped += 1;
+            engine
+                .tracer()
+                .span("diffcheck/dtl-skip")
+                .exit_with(tpx_engine::SpanFields::new().size(prog.size()));
+            return;
+        }
+    }
+    if !trial.decide(report) {
         return;
     }
-    let Some(verdict) = governed_check(
-        engine,
-        cfg,
-        seed,
-        &DtlDecider::new(&prog),
-        &nta,
-        case(None),
-        report,
-    ) else {
-        return;
-    };
-
-    if let Some(detail) = invalid_dtl_witness(&prog, &nta, &verdict.outcome) {
-        record(
-            engine,
-            cfg,
-            seed,
-            DivergenceKind::WitnessInvalid,
-            detail,
-            case(None),
-            report,
-        );
-    }
+    trial.compare(K::WitnessInvalid, None, report);
     report.checks += 1;
-
-    if verdict.is_preserving() {
+    if trial.preserving() {
         for tree in &trees {
-            if dtl_violates_on(&prog, tree) {
-                record(
-                    engine,
-                    cfg,
-                    seed,
-                    DivergenceKind::PreservingButViolates,
-                    "dtl decider says preserving; sampled tree violates".to_owned(),
-                    case(Some(tree.clone())),
-                    report,
-                );
-            }
+            trial.compare(K::PreservingButViolates, Some(tree), report);
             report.checks += 1;
         }
     }
-
-    if let Some(detail) = bounded_disagreement(&prog, &nta, verdict.outcome.is_preserving(), cfg) {
-        record(
-            engine,
-            cfg,
-            seed,
-            DivergenceKind::BoundedContradictsSymbolic,
-            detail,
-            case(None),
-            report,
-        );
-    }
+    trial.compare(K::BoundedContradictsSymbolic, None, report);
     report.checks += 1;
 }
 
@@ -580,209 +739,63 @@ fn fuzz_dtl_seed(engine: &Engine, cfg: &FuzzConfig, seed: u64, report: &mut Fuzz
 /// compile (no diagnostics, no alphabet growth), identical transforms on
 /// every sampled tree, and agreeing symbolic verdicts through the engine.
 fn fuzz_xslt_seed(engine: &Engine, cfg: &FuzzConfig, seed: u64, report: &mut FuzzReport) {
+    use DivergenceKind as K;
     let schema = random_dtd(cfg.n_labels, seed);
     let nta = schema.nta();
-    let spec = XsltSpec {
+    let subject = Subject::Xslt(XsltSpec {
         seed: transducer_seed(seed),
-    };
-    let case = |tree: Option<Tree>| xslt_case(&schema, &spec, tree);
-
+    });
+    let mut trial = Trial::new(engine, cfg, seed, &schema, &nta, &subject);
+    // With neither a tree nor verdicts, only an unclean compile fires.
     report.checks += 1;
-    let Some((compiled, expected)) = compile_against_expected(&schema.alpha, &spec) else {
-        record(
-            engine,
-            cfg,
-            seed,
-            DivergenceKind::XsltCompileDisagrees,
-            compile_failure_detail(&schema.alpha, &spec),
-            case(None),
-            report,
-        );
+    if trial.compare(K::XsltCompileDisagrees, None, report) {
         return;
-    };
-
+    }
     for tree in sample_trees(&nta, cfg, seed) {
-        if compiled.transform(&tree) != expected.transform(&tree) {
-            record(
-                engine,
-                cfg,
-                seed,
-                DivergenceKind::XsltCompileDisagrees,
-                "compiled stylesheet and expected transducer transform a tree differently"
-                    .to_owned(),
-                case(Some(tree.clone())),
-                report,
-            );
-        }
+        trial.compare(K::XsltCompileDisagrees, Some(&tree), report);
         report.checks += 1;
     }
-
-    let got = governed_check(
-        engine,
-        cfg,
-        seed,
-        &TopdownDecider::new(&compiled),
-        &nta,
-        case(None),
-        report,
-    );
-    let want = governed_check(
-        engine,
-        cfg,
-        seed,
-        &TopdownDecider::new(&expected),
-        &nta,
-        case(None),
-        report,
-    );
-    if let (Some(got), Some(want)) = (got, want) {
-        if got.is_preserving() != want.is_preserving() {
-            record(
-                engine,
-                cfg,
-                seed,
-                DivergenceKind::XsltCompileDisagrees,
-                format!(
-                    "verdicts disagree: compiled stylesheet preserving = {}, \
-                     expected transducer preserving = {}",
-                    got.is_preserving(),
-                    want.is_preserving()
-                ),
-                case(None),
-                report,
-            );
-        }
+    if trial.decide(report) {
+        trial.compare(K::XsltCompileDisagrees, None, report);
         report.checks += 1;
     }
 }
 
-/// Compiles the spec's stylesheet and returns `(compiled, expected)` when
-/// the compile is *clean*: no parse error, no diagnostics, and no new
-/// labels interned (the generator only uses schema labels, so growth
-/// means the frontend misread one). `None` otherwise.
+/// Compiles the spec's stylesheet and pairs it with its expected direct
+/// translation when the compile is *clean*: no parse error, no
+/// diagnostics, and no new labels interned (the generator only uses schema
+/// labels, so growth means the frontend misread one). Otherwise the
+/// account of why it is not clean.
 fn compile_against_expected(
-    alpha: &tpx_trees::Alphabet,
+    alpha: &Alphabet,
     spec: &XsltSpec,
-) -> Option<(Transducer, Transducer)> {
-    let src = spec.stylesheet(alpha);
+) -> Result<(Transducer, Transducer), String> {
     let mut compile_alpha = alpha.clone();
-    let compiled = tpx_xslt::compile(&src, &mut compile_alpha).ok()?;
-    (compiled.diagnostics.is_empty() && compile_alpha.len() == alpha.len())
-        .then(|| (compiled.transducer, spec.expected(alpha)))
-}
-
-/// The account of why [`compile_against_expected`] rejected the compile.
-fn compile_failure_detail(alpha: &tpx_trees::Alphabet, spec: &XsltSpec) -> String {
-    let src = spec.stylesheet(alpha);
-    let mut compile_alpha = alpha.clone();
-    match tpx_xslt::compile(&src, &mut compile_alpha) {
-        Err(e) => format!("generated fragment stylesheet fails to compile: {e}"),
-        Ok(c) if !c.diagnostics.is_empty() => format!(
+    let compiled = tpx_xslt::compile(&spec.stylesheet(alpha), &mut compile_alpha)
+        .map_err(|e| format!("generated fragment stylesheet fails to compile: {e}"))?;
+    if let Some(first) = compiled.diagnostics.first() {
+        return Err(format!(
             "generated fragment stylesheet reported {} diagnostic(s), first: line {}: \
              unsupported {}",
-            c.diagnostics.len(),
-            c.diagnostics[0].line,
-            c.diagnostics[0].construct
-        ),
-        Ok(_) => format!(
+            compiled.diagnostics.len(),
+            first.line,
+            first.construct
+        ));
+    }
+    if compile_alpha.len() != alpha.len() {
+        return Err(format!(
             "compiling widened the alphabet from {} to {} labels",
             alpha.len(),
             compile_alpha.len()
-        ),
+        ));
     }
-}
-
-fn topdown_case(schema: &RandomSchema, t: &Transducer, tree: Option<Tree>) -> Case {
-    Case {
-        alpha: schema.alpha.clone(),
-        starts: schema.starts.clone(),
-        decls: schema.decls.clone(),
-        transducer: Some(t.clone()),
-        dtl: None,
-        xslt: None,
-        tree,
-        labels: Vec::new(),
-    }
-}
-
-fn retention_case(
-    schema: &RandomSchema,
-    t: &Transducer,
-    label: Symbol,
-    tree: Option<Tree>,
-) -> Case {
-    Case {
-        labels: vec![schema.alpha.name(label).to_owned()],
-        ..topdown_case(schema, t, tree)
-    }
-}
-
-fn dtl_case(schema: &RandomSchema, spec: &DtlSpec, tree: Option<Tree>) -> Case {
-    Case {
-        alpha: schema.alpha.clone(),
-        starts: schema.starts.clone(),
-        decls: schema.decls.clone(),
-        transducer: None,
-        dtl: Some(spec.clone()),
-        xslt: None,
-        tree,
-        labels: Vec::new(),
-    }
-}
-
-fn xslt_case(schema: &RandomSchema, spec: &XsltSpec, tree: Option<Tree>) -> Case {
-    Case {
-        alpha: schema.alpha.clone(),
-        starts: schema.starts.clone(),
-        decls: schema.decls.clone(),
-        transducer: None,
-        dtl: None,
-        xslt: Some(spec.clone()),
-        tree,
-        labels: Vec::new(),
-    }
+    Ok((compiled.transducer, spec.expected(alpha)))
 }
 
 /// The value-unique version of `tree` (text-preservation is defined over
 /// value-unique trees; `semantic::text_preserving_on` does not uniquify).
 fn unique_tree(tree: &Tree) -> Tree {
     Tree::from_hedge(make_value_unique(tree.as_hedge())).expect("uniquifying keeps the shape")
-}
-
-/// Why the top-down verdict's witness fails validation, if it does.
-fn invalid_topdown_witness(t: &Transducer, nta: &Nta, outcome: &Outcome) -> Option<String> {
-    match outcome {
-        Outcome::Preserving => None,
-        Outcome::Copying { path } => {
-            if !tpx_topdown::path_automaton_nta(nta, &tpx_trees::budget::BudgetHandle::unlimited())
-                .expect("unlimited budget")
-                .accepts(path)
-            {
-                Some("copying witness path is not a schema path".to_owned())
-            } else if !tpx_topdown::path_automaton_transducer(t).accepts(path) {
-                Some("transducer has no run on the copying witness path".to_owned())
-            } else {
-                None
-            }
-        }
-        Outcome::Rearranging { witness } => {
-            if !nta.accepts(witness) {
-                Some("rearranging witness outside the schema".to_owned())
-            } else if !tpx_topdown::semantic::rearranging_on(t, witness) {
-                Some("rearranging witness not semantically rearranging".to_owned())
-            } else {
-                None
-            }
-        }
-        Outcome::NotPreserving { witness } => {
-            (!nta.accepts(witness)).then(|| "witness outside the schema".to_owned())
-        }
-        // The text-preservation pipelines never produce these; seeing one
-        // here means a decider mixed up its analysis.
-        Outcome::DeletesText { .. } | Outcome::NonConforming { .. } => {
-            Some("text-preservation check produced a foreign-analysis outcome".to_owned())
-        }
-    }
 }
 
 /// The per-tree semantic oracle for text-retention: does `t` delete some
@@ -815,316 +828,44 @@ fn semantically_deleted_under(t: &Transducer, tree: &Tree, labels: &[Symbol]) ->
     false
 }
 
-/// Why a deleted-path witness fails validation, if it does (mirrors the
-/// engine's debug-only assertions as a reportable release-build check).
-fn invalid_retention_witness(
-    t: &Transducer,
-    nta: &Nta,
-    labels: &[Symbol],
-    path: &[PathSym],
-) -> Option<String> {
-    if !tpx_topdown::path_automaton_nta(nta, &tpx_trees::budget::BudgetHandle::unlimited())
-        .expect("unlimited budget")
-        .accepts(path)
-    {
-        Some("retention witness path is not a schema path".to_owned())
-    } else if !path
-        .iter()
-        .any(|p| labels.iter().any(|&l| *p == PathSym::Elem(l)))
-    {
-        Some("retention witness path misses the selected labels".to_owned())
-    } else if tpx_topdown::path_automaton_transducer(t).accepts(path) {
-        Some("transducer keeps the retention witness path's value".to_owned())
-    } else {
-        None
-    }
-}
-
-/// Why the DTL verdict's witness fails validation, if it does.
-fn invalid_dtl_witness<P: PatternLanguage>(
-    t: &DtlTransducer<P>,
-    nta: &Nta,
-    outcome: &Outcome,
-) -> Option<String> {
-    let Outcome::NotPreserving { witness } = outcome else {
-        return None;
-    };
-    if !nta.accepts(witness) {
-        return Some("dtl witness outside the schema".to_owned());
-    }
-    let copying = tpx_dtl::config::copying_lemma_5_4(t, witness);
-    let rearranging = tpx_dtl::config::rearranging_lemma_5_5(t, witness);
-    if matches!(copying, Ok(true)) || matches!(rearranging, Ok(true)) {
-        None
-    } else {
-        Some(format!(
-            "dtl witness not re-confirmed (copying: {copying:?}, rearranging: {rearranging:?})"
-        ))
-    }
-}
-
-/// Whether the Lemma 5.4/5.5 checks disagree with the direct semantic
-/// oracles on `tree`; returns the account of the first mismatch.
-fn lemma_vs_operational<P: PatternLanguage>(t: &DtlTransducer<P>, tree: &Tree) -> Option<String> {
-    let lemma_copy = tpx_dtl::config::copying_lemma_5_4(t, tree);
-    let oper_copy = tpx_dtl::config::copying_on(t, tree);
-    match (&lemma_copy, &oper_copy) {
-        (Ok(a), Ok(b)) if a == b => {}
-        _ => {
-            return Some(format!(
-                "copying: lemma 5.4 = {lemma_copy:?}, operational = {oper_copy:?}"
-            ))
-        }
-    }
-    let lemma_re = tpx_dtl::config::rearranging_lemma_5_5(t, tree);
-    let oper_re = tpx_dtl::config::rearranging_on(t, tree);
-    match (&lemma_re, &oper_re) {
-        (Ok(a), Ok(b)) if a == b => None,
-        _ => Some(format!(
-            "rearranging: lemma 5.5 = {lemma_re:?}, operational = {oper_re:?}"
-        )),
-    }
-}
-
-/// Whether the per-tree oracles convict `t` on `tree` (copying or
-/// rearranging on the value-unique version).
-fn dtl_violates_on<P: PatternLanguage>(t: &DtlTransducer<P>, tree: &Tree) -> bool {
-    matches!(tpx_dtl::config::copying_on(t, tree), Ok(true))
-        || matches!(tpx_dtl::config::rearranging_on(t, tree), Ok(true))
-}
-
-/// Cross-checks the bounded-enumeration baseline against a symbolic
-/// verdict, in both directions where the enumeration is conclusive.
-fn bounded_disagreement<P: PatternLanguage>(
-    t: &DtlTransducer<P>,
-    nta: &Nta,
-    symbolic_preserving: bool,
-    cfg: &FuzzConfig,
-) -> Option<String> {
-    let enumerated =
-        tpx_dtl::bounded::enumerate_schema_trees(nta, cfg.bounded_max_nodes, cfg.bounded_limit);
-    let exhaustive = enumerated.len() < cfg.bounded_limit;
-    match tpx_dtl::bounded::bounded_counterexample(t, nta, cfg.bounded_max_nodes, cfg.bounded_limit)
-    {
-        Err(e) => Some(format!("bounded baseline raised {e:?}")),
-        Ok(Some(ce)) if symbolic_preserving => Some(format!(
-            "bounded baseline found a counterexample of {} nodes; symbolic says preserving",
-            ce.node_count()
-        )),
-        // The reverse direction needs the enumeration to be exhaustive up
-        // to the bound AND a small symbolic witness to contradict; without
-        // a witness size to compare we stay conservative and only flag the
-        // forward direction.
-        Ok(_) => {
-            let _ = exhaustive;
-            None
-        }
-    }
-}
-
 /// Replays one case: does the divergence of `kind` still reproduce?
 ///
 /// This is the shared oracle of the fuzzer, the shrinker, and the
-/// regression suite. For [`DivergenceKind::WitnessInvalid`] the symbolic
-/// verdict is recomputed through the raw pipelines (not the engine) so
+/// regression suite. It regenerates the case's route, computes the route's
+/// symbolic results afresh where `kind`'s comparison reads them, and calls
+/// the comparison the fuzzer calls. For [`DivergenceKind::WitnessInvalid`]
+/// the results come from the raw one-shot pipelines, not the engine, so
 /// that debug builds report the invalid witness instead of tripping the
-/// engine's internal `debug_assert`s.
+/// engine's witness assertion.
 pub fn recheck(engine: &Engine, case: &Case, kind: DivergenceKind, cfg: &FuzzConfig) -> bool {
     let nta = case.schema_nta();
-    if let Some(t) = &case.transducer {
-        recheck_topdown(engine, case, t, &nta, kind, cfg)
-    } else if let Some(prog) = case.dtl_program() {
-        recheck_dtl(engine, case, &prog, &nta, kind, cfg)
-    } else if let Some(spec) = &case.xslt {
-        recheck_xslt(engine, case, spec, &nta, kind, cfg)
-    } else {
-        false
-    }
-}
-
-/// The governed symbolic verdict for replays: `None` when the budget ran
-/// out, in which case the divergence counts as not reproduced.
-fn governed_preserving(
-    engine: &Engine,
-    decider: &dyn tpx_engine::Decider,
-    nta: &Nta,
-    cfg: &FuzzConfig,
-) -> Option<bool> {
-    engine
-        .check_governed(decider, nta, &cfg.check_options())
-        .ok()
-        .map(|v| v.is_preserving())
-}
-
-fn recheck_topdown(
-    engine: &Engine,
-    case: &Case,
-    t: &Transducer,
-    nta: &Nta,
-    kind: DivergenceKind,
-    cfg: &FuzzConfig,
-) -> bool {
-    // A tree-bearing kind only reproduces on a tree of the schema language.
-    let valid_tree = |tree: &Tree| nta.accepts(tree);
-    match kind {
-        DivergenceKind::PreservingButViolates => case.tree.as_ref().is_some_and(|tree| {
-            valid_tree(tree)
-                && governed_preserving(engine, &TopdownDecider::new(t), nta, cfg) == Some(true)
-                && !tpx_topdown::semantic::text_preserving_on(t, &unique_tree(tree))
-        }),
-        DivergenceKind::WitnessInvalid => {
-            let outcome: Outcome = tpx_topdown::is_text_preserving(t, nta).into();
-            invalid_topdown_witness(t, nta, &outcome).is_some()
-        }
-        DivergenceKind::TranslationDisagrees => case.tree.as_ref().is_some_and(|tree| {
-            valid_tree(tree)
-                && match tpx_dtl::from_topdown(t).transform(tree) {
-                    Ok(out) => out != t.transform(tree),
-                    Err(_) => false,
-                }
-        }),
-        DivergenceKind::DtlTransformError => case.tree.as_ref().is_some_and(|tree| {
-            valid_tree(tree) && tpx_dtl::from_topdown(t).transform(tree).is_err()
-        }),
-        DivergenceKind::BoundedContradictsSymbolic => {
-            let Some(preserving) = governed_preserving(engine, &TopdownDecider::new(t), nta, cfg)
-            else {
-                return false;
-            };
-            bounded_disagreement(&tpx_dtl::from_topdown(t), nta, preserving, cfg).is_some()
-        }
-        DivergenceKind::DeciderError => matches!(
-            engine.check_governed(&TopdownDecider::new(t), nta, &cfg.check_options()),
-            Err(e) if !e.is_resource_exhausted()
-        ),
-        DivergenceKind::RetentionDisagrees => {
-            let labels: Vec<Symbol> = case
-                .labels
-                .iter()
-                .filter_map(|l| case.alpha.get(l))
-                .collect();
-            if labels.is_empty() {
-                return false;
-            }
-            let decider = TextRetentionDecider::new(t, labels.clone());
-            match engine.check_governed(&decider, nta, &cfg.check_options()) {
-                Ok(v) => match &v.outcome {
-                    Outcome::Preserving => {
-                        let deleted = |tree: &Tree| {
-                            valid_tree(tree) && semantically_deleted_under(t, tree, &labels)
-                        };
-                        case.tree.as_ref().is_some_and(&deleted)
-                            || tpx_dtl::bounded::enumerate_schema_trees(
-                                nta,
-                                cfg.bounded_max_nodes,
-                                cfg.bounded_limit,
-                            )
-                            .iter()
-                            .any(deleted)
-                    }
-                    Outcome::DeletesText { path } => {
-                        invalid_retention_witness(t, nta, &labels, path).is_some()
-                    }
-                    // A foreign outcome from the retention decider is
-                    // itself the divergence.
-                    _ => true,
-                },
-                Err(_) => false,
-            }
-        }
-        // These kinds pin the other pipelines; a top-down case cannot
-        // carry them.
-        DivergenceKind::DtlLemmaVsOperational | DivergenceKind::XsltCompileDisagrees => false,
-    }
-}
-
-/// Replays an XSLT-frontend case: regenerate the stylesheet and its
-/// ground truth from the spec, recompile, and re-run the exact
-/// cross-check that flagged the divergence (tree-bearing → transform
-/// mismatch on that tree; symbolic → compile failure or verdict
-/// disagreement).
-fn recheck_xslt(
-    engine: &Engine,
-    case: &Case,
-    spec: &XsltSpec,
-    nta: &Nta,
-    kind: DivergenceKind,
-    cfg: &FuzzConfig,
-) -> bool {
-    if kind != DivergenceKind::XsltCompileDisagrees {
+    // A tree outside the schema language witnesses nothing.
+    if case.tree.as_ref().is_some_and(|tree| !nta.accepts(tree)) {
         return false;
     }
-    let Some((compiled, expected)) = compile_against_expected(&case.alpha, spec) else {
-        // An unclean compile reproduces regardless of the tree.
-        return true;
-    };
-    if let Some(tree) = &case.tree {
-        return nta.accepts(tree) && compiled.transform(tree) != expected.transform(tree);
-    }
-    match (
-        governed_preserving(engine, &TopdownDecider::new(&compiled), nta, cfg),
-        governed_preserving(engine, &TopdownDecider::new(&expected), nta, cfg),
-    ) {
-        (Some(got), Some(want)) => got != want,
-        _ => false,
-    }
-}
-
-fn recheck_dtl(
-    engine: &Engine,
-    case: &Case,
-    prog: &DtlTransducer<XPathPatterns>,
-    nta: &Nta,
-    kind: DivergenceKind,
-    cfg: &FuzzConfig,
-) -> bool {
-    let valid_tree = |tree: &Tree| nta.accepts(tree);
-    match kind {
-        DivergenceKind::DtlLemmaVsOperational => case
-            .tree
-            .as_ref()
-            .is_some_and(|tree| valid_tree(tree) && lemma_vs_operational(prog, tree).is_some()),
-        DivergenceKind::DtlTransformError => case
-            .tree
-            .as_ref()
-            .is_some_and(|tree| valid_tree(tree) && prog.transform(tree).is_err()),
-        DivergenceKind::PreservingButViolates => case.tree.as_ref().is_some_and(|tree| {
-            valid_tree(tree)
-                && governed_preserving(engine, &DtlDecider::new(prog), nta, cfg) == Some(true)
-                && dtl_violates_on(prog, tree)
-        }),
-        DivergenceKind::WitnessInvalid => {
-            let outcome = match tpx_dtl::dtl_text_preserving(prog, nta) {
-                tpx_dtl::DtlCheckReport::Preserving => Outcome::Preserving,
-                tpx_dtl::DtlCheckReport::NotPreserving { witness } => {
-                    Outcome::NotPreserving { witness }
-                }
-            };
-            invalid_dtl_witness(prog, nta, &outcome).is_some()
-        }
-        DivergenceKind::BoundedContradictsSymbolic => {
-            let Some(preserving) = governed_preserving(engine, &DtlDecider::new(prog), nta, cfg)
-            else {
-                return false;
-            };
-            bounded_disagreement(prog, nta, preserving, cfg).is_some()
-        }
-        DivergenceKind::DeciderError => matches!(
-            engine.check_governed(&DtlDecider::new(prog), nta, &cfg.check_options()),
-            Err(e) if !e.is_resource_exhausted()
-        ),
-        // The retention analysis and the XSLT frontend only run on
-        // top-down / stylesheet cases.
+    let route = Route::of(&case.alpha, &case.subject);
+    let symbolic = match kind {
+        DivergenceKind::WitnessInvalid => route.one_shot(&nta),
         DivergenceKind::TranslationDisagrees
-        | DivergenceKind::RetentionDisagrees
-        | DivergenceKind::XsltCompileDisagrees => false,
-    }
+        | DivergenceKind::DtlLemmaVsOperational
+        | DivergenceKind::DtlTransformError => Vec::new(),
+        DivergenceKind::XsltCompileDisagrees if case.tree.is_some() => Vec::new(),
+        _ => route.governed(engine, &nta, cfg),
+    };
+    let instance = Instance {
+        route: &route,
+        nta: &nta,
+        tree: case.tree.as_ref(),
+        symbolic: &symbolic,
+        cfg,
+    };
+    divergence(kind, &instance).is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpx_topdown::{RhsNode, TdState};
+    use tpx_topdown::PathSym;
     use tpx_trees::budget::BudgetHandle;
 
     fn quick_cfg() -> FuzzConfig {
@@ -1209,12 +950,136 @@ mod tests {
         }
     }
 
+    /// A case over the schema `a0 = a1*`, `a1 = text` whose subject is a
+    /// top-down transducer made by `rules`, with the tree `a0(a1("x"))`.
+    fn case_over_a0_a1(rules: &[(&str, &str)], labels: &[&str]) -> Case {
+        let alpha = Alphabet::from_labels(["a0", "a1"]);
+        let mut b = tpx_topdown::TransducerBuilder::new(&alpha, "q");
+        for (label, rhs) in rules {
+            b.rule("q", label, rhs);
+        }
+        b.text_rule("q");
+        let mut scratch = alpha.clone();
+        let tree = tpx_trees::term::parse_tree(r#"a0(a1("x"))"#, &mut scratch).unwrap();
+        Case {
+            alpha,
+            starts: vec!["a0".to_owned()],
+            decls: vec![
+                ("a0".to_owned(), "a1*".to_owned()),
+                ("a1".to_owned(), "text".to_owned()),
+            ],
+            subject: Subject::Topdown {
+                transducer: b.finish(),
+                labels: labels.iter().map(|l| (*l).to_owned()).collect(),
+            },
+            tree: Some(tree),
+        }
+    }
+
+    /// A transducer that copies every child (`a0 → a0(q q)`).
+    fn copier_case() -> Case {
+        case_over_a0_a1(&[("a0", "a0(q q)"), ("a1", "a1(q)")], &[])
+    }
+
+    fn xslt_case(schema: &RandomSchema, spec: &XsltSpec, tree: Option<Tree>) -> Case {
+        Case {
+            alpha: schema.alpha.clone(),
+            starts: schema.starts.clone(),
+            decls: schema.decls.clone(),
+            subject: Subject::Xslt(spec.clone()),
+            tree,
+        }
+    }
+
+    /// Whether `kind`'s comparison fires on `case` given `symbolic` as the
+    /// route's symbolic results; `None` runs the route's real checks.
+    fn fires(kind: DivergenceKind, case: &Case, symbolic: Option<Vec<Symbolic>>) -> bool {
+        let cfg = quick_cfg();
+        let nta = case.schema_nta();
+        let route = Route::of(&case.alpha, &case.subject);
+        let symbolic = symbolic.unwrap_or_else(|| route.governed(&Engine::new(), &nta, &cfg));
+        let instance = Instance {
+            route: &route,
+            nta: &nta,
+            tree: case.tree.as_ref(),
+            symbolic: &symbolic,
+            cfg: &cfg,
+        };
+        divergence(kind, &instance).is_some()
+    }
+
     #[test]
-    fn recheck_reproduces_a_planted_xslt_transform_mismatch() {
-        // A forged xslt case whose tree is outside the schema must not
-        // reproduce; with a schema tree and an honest spec the compile is
-        // clean and the transforms agree, so the kind must not reproduce
-        // either — recheck answers false both ways.
+    fn preserving_but_violates_fires_on_a_forged_preserving() {
+        let case = copier_case();
+        let kind = DivergenceKind::PreservingButViolates;
+        assert!(!fires(kind, &case, None), "the decider convicts the copier");
+        assert!(fires(kind, &case, Some(vec![Ok(Outcome::Preserving)])));
+    }
+
+    #[test]
+    fn witness_invalid_fires_on_a_forged_witness() {
+        let case = copier_case();
+        let kind = DivergenceKind::WitnessInvalid;
+        assert!(!fires(kind, &case, None), "the decider's witness validates");
+        // No schema text path is empty, and no schema tree is bare text.
+        let forged_path = Outcome::Copying { path: Vec::new() };
+        assert!(fires(kind, &case, Some(vec![Ok(forged_path)])));
+        let forged_tree = Outcome::Rearranging {
+            witness: Tree::text("stray"),
+        };
+        assert!(fires(kind, &case, Some(vec![Ok(forged_tree)])));
+    }
+
+    #[test]
+    fn bounded_contradicts_symbolic_fires_on_a_forged_preserving() {
+        let case = copier_case();
+        let kind = DivergenceKind::BoundedContradictsSymbolic;
+        assert!(!fires(kind, &case, None), "both routes convict the copier");
+        assert!(fires(kind, &case, Some(vec![Ok(Outcome::Preserving)])));
+    }
+
+    #[test]
+    fn retention_disagrees_fires_on_a_forged_answer() {
+        // No rule for `a1`: the text below every `a1` is deleted.
+        let case = case_over_a0_a1(&[("a0", "a0(q)")], &["a1"]);
+        let kind = DivergenceKind::RetentionDisagrees;
+        assert!(!fires(kind, &case, None), "the decider finds the deletion");
+        assert!(fires(kind, &case, Some(vec![Ok(Outcome::Preserving)])));
+        // `a0/text()` is no schema path, so it cannot witness a deletion.
+        let a0 = case.alpha.sym("a0");
+        let forged = Outcome::DeletesText {
+            path: vec![PathSym::Elem(a0), PathSym::Text],
+        };
+        assert!(fires(kind, &case, Some(vec![Ok(forged)])));
+    }
+
+    #[test]
+    fn decider_error_fires_on_a_forged_failure() {
+        let case = copier_case();
+        let kind = DivergenceKind::DeciderError;
+        assert!(!fires(kind, &case, None));
+        let forged = DecisionError::Internal("forged failure".to_owned());
+        assert!(fires(kind, &case, Some(vec![Err(forged)])));
+    }
+
+    #[test]
+    fn xslt_compile_disagrees_fires_on_forged_disagreeing_verdicts() {
+        let schema = random_dtd(2, 5);
+        let case = xslt_case(&schema, &XsltSpec { seed: 17 }, None);
+        let kind = DivergenceKind::XsltCompileDisagrees;
+        assert!(!fires(kind, &case, None), "the honest verdicts agree");
+        let forged = vec![
+            Ok(Outcome::Preserving),
+            Ok(Outcome::Copying { path: Vec::new() }),
+        ];
+        assert!(fires(kind, &case, Some(forged)));
+    }
+
+    #[test]
+    fn recheck_rejects_an_honest_xslt_case_and_a_stray_tree() {
+        // With a schema tree and an honest spec the compile is clean and the
+        // transforms agree, and a tree outside the schema is no witness, so
+        // recheck answers false both ways.
         let schema = random_dtd(2, 5);
         let nta = schema.nta();
         let spec = XsltSpec { seed: 17 };
@@ -1245,47 +1110,12 @@ mod tests {
 
     #[test]
     fn recheck_rejects_a_forged_preserving_but_violates_case() {
-        // A transducer that copies its children (`a0 → a0(q0 q0)`) is not a
-        // translation divergence — from_topdown matches it. Plant a real
-        // per-tree divergence instead: preserving-but-violates with a
-        // decider we *claim* said preserving cannot be forged, so use the
-        // oracle side: a copying transducer plus a text-bearing tree makes
-        // `text_preserving_on` false, while the decider correctly says
-        // copying — recheck must therefore reject the forged case.
-        let schema = random_dtd(2, 3);
-        let nta = schema.nta();
-        let mut t = random_transducer(&schema.alpha, 1, 0.0, 0);
-        for s in schema.alpha.symbols() {
-            t.set_rule(
-                TdState(0),
-                s,
-                vec![RhsNode::Elem(
-                    s,
-                    vec![RhsNode::State(TdState(0)), RhsNode::State(TdState(0))],
-                )],
-            );
-        }
-        t.set_text_rule(TdState(0), true);
-        let tree = nta
-            .witness(&BudgetHandle::unlimited())
-            .unwrap()
-            .expect("non-empty");
-        let case = Case {
-            alpha: schema.alpha.clone(),
-            starts: schema.starts.clone(),
-            decls: schema.decls.clone(),
-            transducer: Some(t),
-            dtl: None,
-            xslt: None,
-            tree: Some(tree),
-            labels: Vec::new(),
-        };
-        let engine = Engine::new();
         // The decider is *not* fooled: it reports copying, so the
         // "preserving but violates" divergence must not reproduce.
+        let engine = Engine::new();
         assert!(!recheck(
             &engine,
-            &case,
+            &copier_case(),
             DivergenceKind::PreservingButViolates,
             &quick_cfg()
         ));
@@ -1301,11 +1131,11 @@ mod tests {
             alpha: schema.alpha.clone(),
             starts: schema.starts.clone(),
             decls: schema.decls.clone(),
-            transducer: Some(t),
-            dtl: None,
-            xslt: None,
+            subject: Subject::Topdown {
+                transducer: t,
+                labels: Vec::new(),
+            },
             tree: Some(Tree::text("stray")),
-            labels: Vec::new(),
         };
         let engine = Engine::new();
         let cfg = quick_cfg();

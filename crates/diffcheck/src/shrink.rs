@@ -17,7 +17,7 @@
 use tpx_topdown::Transducer;
 use tpx_trees::{Hedge, Tree};
 
-use crate::case::Case;
+use crate::case::{Case, Subject};
 
 /// Shrinks `case` while `still_fails` holds, returning the 1-minimal case.
 /// `case` itself must satisfy the predicate (otherwise it is returned
@@ -98,7 +98,7 @@ fn with_tree(case: &Case, tree: Tree) -> Case {
 fn shrink_rules_pass<F: Fn(&Case) -> bool>(best: &mut Case, still_fails: &F) -> bool {
     let mut progressed = false;
     loop {
-        let Some(t) = &best.transducer else {
+        let Subject::Topdown { transducer: t, .. } = &best.subject else {
             return progressed;
         };
         let mut candidates = Vec::new();
@@ -123,7 +123,9 @@ fn shrink_rules_pass<F: Fn(&Case) -> bool>(best: &mut Case, still_fails: &F) -> 
 
 fn with_transducer(case: &Case, t: Transducer) -> Case {
     let mut c = case.clone();
-    c.transducer = Some(t);
+    if let Subject::Topdown { transducer, .. } = &mut c.subject {
+        *transducer = t;
+    }
     c
 }
 
@@ -153,18 +155,20 @@ fn without_rule(
 fn shrink_dtl_pass<F: Fn(&Case) -> bool>(best: &mut Case, still_fails: &F) -> bool {
     let mut progressed = false;
     loop {
-        let Some(spec) = &best.dtl else {
+        let Subject::Dtl(spec) = &best.subject else {
             return progressed;
         };
         let total = spec.total_ops(&best.alpha);
         let candidates: Vec<Case> = (0..total)
             .filter(|i| !spec.drops.contains(i))
             .map(|i| {
-                let mut c = best.clone();
-                let s = c.dtl.as_mut().expect("checked above");
-                s.drops.push(i);
-                s.drops.sort_unstable();
-                c
+                let mut spec = spec.clone();
+                spec.drops.push(i);
+                spec.drops.sort_unstable();
+                Case {
+                    subject: Subject::Dtl(spec),
+                    ..best.clone()
+                }
             })
             .collect();
         if !try_candidates(best, still_fails, candidates) {
@@ -196,12 +200,12 @@ fn shrink_decls_pass<F: Fn(&Case) -> bool>(best: &mut Case, still_fails: &F) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::case::DtlSpec;
+    use crate::case::{DtlSpec, XsltSpec};
     use tpx_topdown::{RhsNode, TdState};
     use tpx_trees::budget::BudgetHandle;
     use tpx_trees::{Alphabet, HedgeBuilder, Symbol};
 
-    fn base_case(alpha: &Alphabet) -> Case {
+    fn base_case(alpha: &Alphabet, subject: Subject) -> Case {
         Case {
             alpha: alpha.clone(),
             starts: vec!["a0".to_owned()],
@@ -209,12 +213,14 @@ mod tests {
                 ("a0".to_owned(), "(a0 | a1 | text)*".to_owned()),
                 ("a1".to_owned(), "text".to_owned()),
             ],
-            transducer: None,
-            dtl: None,
-            xslt: None,
+            subject,
             tree: None,
-            labels: Vec::new(),
         }
+    }
+
+    /// A subject no shrinking pass touches.
+    fn xslt() -> Subject {
+        Subject::Xslt(XsltSpec { seed: 1 })
     }
 
     /// A chain `a0(a0(a0(a0("x"))))` of `depth` elements over one text leaf.
@@ -234,7 +240,7 @@ mod tests {
     #[test]
     fn tree_shrinks_to_the_predicate_boundary() {
         let alpha = Alphabet::from_labels(["a0", "a1"]);
-        let mut case = base_case(&alpha);
+        let mut case = base_case(&alpha, xslt());
         case.tree = Some(chain_tree(&alpha, 6));
         // Predicate: at least 3 nodes. 1-minimality means exactly 3 —
         // deleting any single further subtree drops below the boundary.
@@ -255,15 +261,22 @@ mod tests {
         }
         t.set_text_rule(TdState(0), true);
         t.set_text_rule(TdState(1), true);
-        let mut case = base_case(&alpha);
-        case.transducer = Some(t);
+        let case = base_case(
+            &alpha,
+            Subject::Topdown {
+                transducer: t,
+                labels: Vec::new(),
+            },
+        );
+        let transducer = |c: &Case| match &c.subject {
+            Subject::Topdown { transducer, .. } => transducer.clone(),
+            other => panic!("the subject stays top-down, got {other:?}"),
+        };
         // Predicate: the rule (q0, a0) still exists.
         let shrunk = shrink_case(&case, |c| {
-            c.transducer
-                .as_ref()
-                .is_some_and(|t| t.rhs(TdState(0), Symbol(0)).is_some())
+            transducer(c).rhs(TdState(0), Symbol(0)).is_some()
         });
-        let t = shrunk.transducer.unwrap();
+        let t = transducer(&shrunk);
         let n_rules: usize = t
             .states()
             .map(|q| {
@@ -279,7 +292,6 @@ mod tests {
     #[test]
     fn dtl_shrinks_by_growing_drops() {
         let alpha = Alphabet::from_labels(["a0", "a1"]);
-        let mut case = base_case(&alpha);
         let spec = DtlSpec {
             seed: 7,
             n_states: 2,
@@ -287,20 +299,21 @@ mod tests {
         };
         let total = spec.total_ops(&alpha);
         assert!(total > 1, "seed 7 must generate several additions");
-        case.dtl = Some(spec);
+        let case = base_case(&alpha, Subject::Dtl(spec));
+        let spec = |c: &Case| match &c.subject {
+            Subject::Dtl(spec) => spec.clone(),
+            other => panic!("the subject stays DTL, got {other:?}"),
+        };
         // Predicate: the program still has at least one rule.
-        let shrunk = shrink_case(&case, |c| {
-            c.dtl_program().is_some_and(|p| !p.rules().is_empty())
-        });
-        let spec = shrunk.dtl.unwrap();
-        let program = spec.program(&alpha);
+        let shrunk = shrink_case(&case, |c| !spec(c).program(&alpha).rules().is_empty());
+        let program = spec(&shrunk).program(&alpha);
         assert_eq!(program.rules().len(), 1, "exactly one rule survives");
     }
 
     #[test]
     fn decls_shrink_but_starts_are_kept() {
         let alpha = Alphabet::from_labels(["a0", "a1"]);
-        let case = base_case(&alpha);
+        let case = base_case(&alpha, xslt());
         let shrunk = shrink_case(&case, |c| {
             let nta = c.schema_nta();
             !nta.is_empty(&BudgetHandle::unlimited()).unwrap()
@@ -312,7 +325,7 @@ mod tests {
     #[test]
     fn a_passing_case_is_returned_unchanged() {
         let alpha = Alphabet::from_labels(["a0", "a1"]);
-        let mut case = base_case(&alpha);
+        let mut case = base_case(&alpha, xslt());
         case.tree = Some(chain_tree(&alpha, 2));
         let shrunk = shrink_case(&case, |_| false);
         assert_eq!(shrunk.tree.unwrap().node_count(), 3);

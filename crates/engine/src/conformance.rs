@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use crate::analysis::{Analysis, OUTPUT_CONFORMANCE};
 use crate::budget::DecisionError;
-use crate::decider::{unknown_stage, Decider, StageKey, Stages};
+use crate::decider::{foreign_outcome, unknown_stage, Decider, StageKey, Stages};
 use crate::verdict::Outcome;
 use tpx_topdown::{
     compile_conformance_artifacts, conformance_witness_with, ConformanceArtifacts, Transducer,
@@ -117,29 +117,27 @@ impl Decider for OutputConformanceDecider<'_> {
         let witness = stages.uncached("conformance/decide", |ctx| {
             conformance_witness_with(&inverse, schema, ctx)
         })?;
-        let outcome = match witness {
+        Ok(match witness {
             None => Outcome::Preserving,
             Some(witness) => Outcome::NonConforming { witness },
-        };
-        #[cfg(debug_assertions)]
-        validate_conformance_outcome(self.t, schema, self.target, &outcome);
-        Ok(outcome)
+        })
     }
-}
 
-/// Debug-build witness validation: a non-conformance witness must be a
-/// schema tree whose image the per-tree semantic oracle confirms to
-/// violate the target.
-#[cfg(debug_assertions)]
-fn validate_conformance_outcome(t: &Transducer, schema: &Nta, target: &Nta, outcome: &Outcome) {
-    if let Outcome::NonConforming { witness } = outcome {
-        debug_assert!(
-            schema.accepts(witness),
-            "conformance decider: witness outside the schema"
-        );
-        debug_assert!(
-            !tpx_topdown::conforms_on(t, witness, target),
-            "conformance decider: witness image conforms to the target"
-        );
+    /// A non-conformance witness must be a schema tree whose image the
+    /// per-tree semantic oracle confirms to violate the target.
+    fn witness_error(&self, schema: &Nta, outcome: &Outcome) -> Option<String> {
+        let witness = match outcome {
+            Outcome::Preserving => return None,
+            Outcome::NonConforming { witness } => witness,
+            other => return foreign_outcome(self, other),
+        };
+        let error = if !schema.accepts(witness) {
+            "conformance witness outside the schema"
+        } else if tpx_topdown::conforms_on(self.t, witness, self.target) {
+            "conformance witness image conforms to the target"
+        } else {
+            return None;
+        };
+        Some(error.to_owned())
     }
 }

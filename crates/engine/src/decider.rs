@@ -28,6 +28,12 @@
 //! degradation fallback and assembles the [`Verdict`](crate::Verdict); a
 //! failure comes back as a structured [`DecisionError`] instead of a
 //! panic.
+//!
+//! Each decider also states, once, what makes its witnesses valid:
+//! [`Decider::witness_error`] re-confirms an outcome tree by tree against
+//! the schema and the per-tree semantic oracles. The engine asserts it on
+//! every outcome in debug builds, and `tpx-diffcheck` calls it in release
+//! builds as its `witness-invalid` and `retention-disagrees` checks.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,7 +49,7 @@ use tpx_dtl::{
 };
 use tpx_obs::{SpanFields, Tracer};
 use tpx_topdown::{
-    compile_schema_artifacts, compile_transducer_artifacts, is_text_preserving_with,
+    compile_schema_artifacts, compile_transducer_artifacts, is_text_preserving_with, PathSym,
     SchemaArtifacts, StageCtx, Transducer, TransducerArtifacts,
 };
 use tpx_treeauto::Nta;
@@ -169,6 +175,29 @@ pub trait Decider: Sync {
         let _ = (schema, bound, stages);
         None
     }
+
+    /// Why `outcome` is not a valid answer of this decider over
+    /// `L(schema)`, or `None` when it is: a witness must lie in the schema
+    /// language and be re-confirmed by the per-tree semantic oracle, and an
+    /// outcome of another analysis is never valid. The engine asserts this
+    /// after every [`Decider::check`] and [`Decider::degrade`] in debug
+    /// builds.
+    fn witness_error(&self, schema: &Nta, outcome: &Outcome) -> Option<String>;
+}
+
+/// The [`Decider::witness_error`] of an outcome the decider never gives.
+pub(crate) fn foreign_outcome(decider: &dyn Decider, outcome: &Outcome) -> Option<String> {
+    Some(format!(
+        "the {} decider gave an outcome of another analysis: {outcome:?}",
+        decider.name()
+    ))
+}
+
+/// Whether `path` is a text path of `L(schema)` (Lemma 4.8(1)).
+pub(crate) fn is_schema_path(schema: &Nta, path: &[PathSym]) -> bool {
+    tpx_topdown::path_automaton_nta(schema, &BudgetHandle::unlimited())
+        .expect("unlimited budget")
+        .accepts(path)
 }
 
 /// The error for a prefetch of a stage the decider does not declare.
@@ -357,55 +386,36 @@ impl Decider for TopdownDecider<'_> {
         let report = stages.uncached("topdown/decide", |ctx| {
             is_text_preserving_with(&schema_art, &trans_art, schema, ctx)
         })?;
-        let outcome: Outcome = report.into();
-        #[cfg(debug_assertions)]
-        validate_topdown_outcome(self.t, schema, &outcome);
-        Ok(outcome)
+        Ok(report.into())
     }
-}
 
-/// Debug-build witness validation: every counterexample a verdict carries
-/// must be a member of `L(schema)` and must be re-confirmed by the per-tree
-/// semantic oracle — a decider path emitting an out-of-schema or
-/// non-reproducing witness is a bug, caught here before it reaches a user.
-#[cfg(debug_assertions)]
-fn validate_topdown_outcome(t: &Transducer, schema: &Nta, outcome: &Outcome) {
-    match outcome {
-        Outcome::Preserving => {}
-        Outcome::Copying { path } => {
-            debug_assert!(
-                tpx_topdown::path_automaton_nta(schema, &BudgetHandle::unlimited())
-                    .expect("unlimited budget")
-                    .accepts(path),
-                "topdown decider: copying witness path is not a schema path"
-            );
-            debug_assert!(
-                tpx_topdown::path_automaton_transducer(t).accepts(path),
-                "topdown decider: transducer has no run on the copying witness path"
-            );
-        }
-        Outcome::Rearranging { witness } => {
-            debug_assert!(
-                schema.accepts(witness),
-                "topdown decider: rearranging witness outside the schema"
-            );
-            debug_assert!(
-                tpx_topdown::semantic::rearranging_on(t, witness),
-                "topdown decider: rearranging witness not semantically rearranging"
-            );
-        }
-        Outcome::NotPreserving { witness } => {
-            debug_assert!(
-                schema.accepts(witness),
-                "topdown decider: witness outside the schema"
-            );
-        }
-        Outcome::DeletesText { .. } | Outcome::NonConforming { .. } => {
-            debug_assert!(
-                false,
-                "topdown text-preservation decider produced a foreign-analysis outcome"
-            );
-        }
+    /// A copying path must be a schema text path the transducer runs on
+    /// (Lemma 4.9); a rearranging tree must be a schema tree on which the
+    /// transducer rearranges (Lemma 4.10).
+    fn witness_error(&self, schema: &Nta, outcome: &Outcome) -> Option<String> {
+        let error = match outcome {
+            Outcome::Preserving => None,
+            Outcome::Copying { path } => {
+                if !is_schema_path(schema, path) {
+                    Some("copying witness path is not a schema path")
+                } else if !tpx_topdown::path_automaton_transducer(self.t).accepts(path) {
+                    Some("transducer has no run on the copying witness path")
+                } else {
+                    None
+                }
+            }
+            Outcome::Rearranging { witness } => {
+                if !schema.accepts(witness) {
+                    Some("rearranging witness outside the schema")
+                } else if !tpx_topdown::semantic::rearranging_on(self.t, witness) {
+                    Some("rearranging witness not semantically rearranging")
+                } else {
+                    None
+                }
+            }
+            other => return foreign_outcome(self, other),
+        };
+        error.map(str::to_owned)
     }
 }
 
@@ -505,13 +515,10 @@ where
         let report = stages.uncached("dtl/decide", |ctx| {
             dtl_text_preserving_with(&ce_art, &schema_art, ctx)
         })?;
-        let outcome = match report {
+        Ok(match report {
             DtlCheckReport::Preserving => Outcome::Preserving,
             DtlCheckReport::NotPreserving { witness } => Outcome::NotPreserving { witness },
-        };
-        #[cfg(debug_assertions)]
-        validate_dtl_outcome(self.t, schema, &outcome);
-        Ok(outcome)
+        })
     }
 
     /// Falls back to the bounded-enumeration oracle: sound but incomplete,
@@ -526,34 +533,29 @@ where
         let witness = stages.uncached("dtl/bounded", |_| {
             tpx_dtl::bounded::bounded_counterexample(self.t, schema, bound.max_nodes, bound.limit)
         });
-        Some(witness.map(|witness| {
-            let outcome = match witness {
-                None => Outcome::Preserving,
-                Some(witness) => Outcome::NotPreserving { witness },
-            };
-            #[cfg(debug_assertions)]
-            validate_dtl_outcome(self.t, schema, &outcome);
-            outcome
+        Some(witness.map(|witness| match witness {
+            None => Outcome::Preserving,
+            Some(witness) => Outcome::NotPreserving { witness },
         }))
     }
-}
 
-/// Debug-build witness validation for the DTL decider: the witness must be
-/// in `L(schema)` and the Lemma 5.4/5.5 per-tree checks must re-confirm the
-/// violation on it.
-#[cfg(debug_assertions)]
-fn validate_dtl_outcome<P: MsoDefinable>(t: &DtlTransducer<P>, schema: &Nta, outcome: &Outcome) {
-    if let Outcome::NotPreserving { witness } = outcome {
-        debug_assert!(
-            schema.accepts(witness),
-            "dtl decider: witness outside the schema"
-        );
-        let copying = tpx_dtl::config::copying_lemma_5_4(t, witness);
-        let rearranging = tpx_dtl::config::rearranging_lemma_5_5(t, witness);
-        debug_assert!(
-            matches!(copying, Ok(true)) || matches!(rearranging, Ok(true)),
-            "dtl decider: witness not re-confirmed by the per-tree oracles \
-             (copying: {copying:?}, rearranging: {rearranging:?})"
-        );
+    /// The witness must be a schema tree on which the Lemma 5.4/5.5
+    /// per-tree checks re-confirm copying or rearranging.
+    fn witness_error(&self, schema: &Nta, outcome: &Outcome) -> Option<String> {
+        let witness = match outcome {
+            Outcome::Preserving => return None,
+            Outcome::NotPreserving { witness } => witness,
+            other => return foreign_outcome(self, other),
+        };
+        if !schema.accepts(witness) {
+            return Some("dtl witness outside the schema".to_owned());
+        }
+        let copying = tpx_dtl::config::copying_lemma_5_4(self.t, witness);
+        let rearranging = tpx_dtl::config::rearranging_lemma_5_5(self.t, witness);
+        (!matches!(copying, Ok(true)) && !matches!(rearranging, Ok(true))).then(|| {
+            format!(
+                "dtl witness not re-confirmed (copying: {copying:?}, rearranging: {rearranging:?})"
+            )
+        })
     }
 }

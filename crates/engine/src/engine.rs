@@ -186,7 +186,9 @@ impl Engine {
 
     /// One check: starts the budget, runs the decider's stages, falls back
     /// to the decider's bounded search when the budget ran out and
-    /// `options` ask for degradation, and assembles the [`Verdict`].
+    /// `options` ask for degradation, and assembles the [`Verdict`]. In
+    /// debug builds an outcome that fails [`Decider::witness_error`] panics
+    /// here, so the caller sees [`DecisionError::Panicked`] naming it.
     fn run_check(
         &self,
         decider: &dyn Decider,
@@ -207,6 +209,10 @@ impl Engine {
                 _ => return Err(e),
             },
         };
+        #[cfg(debug_assertions)]
+        if let Some(error) = decider.witness_error(schema, &outcome) {
+            panic!("{} decider: invalid witness: {error}", decider.name());
+        }
         Ok(Verdict {
             decider: decider.name(),
             analysis: decider.analysis(),

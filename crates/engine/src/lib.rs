@@ -14,6 +14,11 @@
 //! schema side once, and checking one transducer against many schemas
 //! compiles the transducer side once.
 //!
+//! Every decider also states, once, what makes its witnesses valid:
+//! [`Decider::witness_error`] re-confirms an outcome against the schema and
+//! the per-tree semantic oracles. Debug builds assert it on every verdict
+//! the engine assembles; `tpx-diffcheck` calls it in release builds.
+//!
 //! [`Engine::check_many`] turns a batch of `(decider, schema)` tasks into a
 //! *stage graph*: the distinct artifacts the batch needs are deduplicated
 //! up front and prefetched as their own tasks, with each check scheduled

@@ -24,13 +24,14 @@ use std::sync::Arc;
 use crate::analysis::{Analysis, TEXT_RETENTION};
 use crate::budget::DecisionError;
 use crate::decider::{
-    topdown_schema, topdown_schema_key, unknown_stage, Decider, StageKey, Stages,
+    foreign_outcome, is_schema_path, topdown_schema, topdown_schema_key, unknown_stage, Decider,
+    StageKey, Stages,
 };
 use crate::verdict::Outcome;
 use tpx_topdown::extensions::{
     compile_retention_artifacts, deleted_text_under_with, RetentionArtifacts,
 };
-use tpx_topdown::Transducer;
+use tpx_topdown::{PathSym, Transducer};
 use tpx_treeauto::Nta;
 use tpx_trees::{stable_hash_of, Symbol};
 
@@ -108,37 +109,33 @@ impl Decider for TextRetentionDecider<'_> {
         let witness = stages.uncached("topdown/retention/decide", |ctx| {
             deleted_text_under_with(&schema_art, &trans_art, &self.labels, ctx)
         })?;
-        let outcome = match witness {
+        Ok(match witness {
             None => Outcome::Preserving,
             Some(path) => Outcome::DeletesText { path },
-        };
-        #[cfg(debug_assertions)]
-        validate_retention_outcome(self.t, schema, &self.labels, &outcome);
-        Ok(outcome)
+        })
     }
-}
 
-/// Debug-build witness validation: a deleted-text path must be a schema
-/// text path, pass through a selected label, and have no transducer path
-/// run (i.e. its value really is deleted).
-#[cfg(debug_assertions)]
-fn validate_retention_outcome(t: &Transducer, schema: &Nta, labels: &[Symbol], outcome: &Outcome) {
-    use tpx_topdown::PathSym;
-    if let Outcome::DeletesText { path } = outcome {
-        debug_assert!(
-            tpx_topdown::path_automaton_nta(schema, &tpx_trees::budget::BudgetHandle::unlimited())
-                .expect("unlimited budget")
-                .accepts(path),
-            "retention decider: witness path is not a schema path"
-        );
-        debug_assert!(
-            path.iter()
-                .any(|p| labels.iter().any(|&l| *p == PathSym::Elem(l))),
-            "retention decider: witness path misses the selected labels"
-        );
-        debug_assert!(
-            !tpx_topdown::path_automaton_transducer(t).accepts(path),
-            "retention decider: transducer keeps the witness path's value"
-        );
+    /// A deleted-text path must be a schema text path through a selected
+    /// label on which the transducer has no path run (so its value really
+    /// is deleted).
+    fn witness_error(&self, schema: &Nta, outcome: &Outcome) -> Option<String> {
+        let path = match outcome {
+            Outcome::Preserving => return None,
+            Outcome::DeletesText { path } => path,
+            other => return foreign_outcome(self, other),
+        };
+        let error = if !is_schema_path(schema, path) {
+            "retention witness path is not a schema path"
+        } else if !path
+            .iter()
+            .any(|p| self.labels.iter().any(|&l| *p == PathSym::Elem(l)))
+        {
+            "retention witness path misses the selected labels"
+        } else if tpx_topdown::path_automaton_transducer(self.t).accepts(path) {
+            "transducer keeps the retention witness path's value"
+        } else {
+            return None;
+        };
+        Some(error.to_owned())
     }
 }

@@ -262,6 +262,48 @@ impl Decider for PanickingDecider {
     fn check(&self, _schema: &Nta, _stages: &mut Stages<'_>) -> Result<Outcome, DecisionError> {
         panic!("decider blew up on this instance");
     }
+
+    fn witness_error(&self, _schema: &Nta, _outcome: &Outcome) -> Option<String> {
+        None
+    }
+}
+
+/// A decider whose witness never validates, standing in for a decision
+/// path that emits a counterexample outside the schema.
+#[cfg(debug_assertions)]
+struct ForgingDecider;
+
+#[cfg(debug_assertions)]
+impl Decider for ForgingDecider {
+    fn name(&self) -> &'static str {
+        "forging"
+    }
+
+    fn check(&self, _schema: &Nta, _stages: &mut Stages<'_>) -> Result<Outcome, DecisionError> {
+        Ok(Outcome::NotPreserving {
+            witness: tpx_trees::Tree::text("forged"),
+        })
+    }
+
+    fn witness_error(&self, _schema: &Nta, _outcome: &Outcome) -> Option<String> {
+        Some("the forged witness is outside the schema".to_owned())
+    }
+}
+
+#[cfg(debug_assertions)]
+#[test]
+fn an_invalid_witness_comes_back_as_a_panic_naming_its_error() {
+    let (_, schema) = chain_schema(2);
+    let err = Engine::new()
+        .check_governed(&ForgingDecider, &schema, &CheckOptions::unlimited())
+        .expect_err("a debug build refuses an invalid witness");
+    let DecisionError::Panicked { message, .. } = err else {
+        panic!("expected Panicked, got {err:?}");
+    };
+    assert!(
+        message.contains("the forged witness is outside the schema"),
+        "{message}"
+    );
 }
 
 #[test]

@@ -124,9 +124,11 @@ impl Transducer {
         self.text_rules[q.index()] = enabled;
     }
 
-    /// The rhs of the rule `(q, a)`, if present.
+    /// The rhs of the rule `(q, a)`, if present. A symbol outside the
+    /// transducer's alphabet has no rule, so its subtree translates to `ε`
+    /// (Definition 4.1).
     pub fn rhs(&self, q: TdState, a: Symbol) -> Option<&[RhsNode]> {
-        self.rules[q.index()][a.index()].as_deref()
+        self.rules[q.index()].get(a.index())?.as_deref()
     }
 
     /// Whether `(q, text) → text` is a rule.
@@ -528,6 +530,18 @@ mod tests {
     fn deletion_of_unmatched_labels() {
         let (mut al, t) = identity_minus_c();
         let input = parse_tree(r#"a("x" c("hidden") b)"#, &mut al).unwrap();
+        let out = t.transform(&input);
+        let expect = parse_tree(r#"a("x" b)"#, &mut al).unwrap();
+        assert_eq!(out, *expect.as_hedge());
+    }
+
+    #[test]
+    fn a_label_outside_the_alphabet_is_deleted_without_panicking() {
+        let (mut al, t) = identity_minus_c();
+        // `d` is interned after the transducer was built, so its symbol
+        // index is past the transducer's rule table.
+        let input = parse_tree(r#"a("x" d("foreign") b)"#, &mut al).unwrap();
+        assert!(al.sym("d").index() >= t.symbol_count());
         let out = t.transform(&input);
         let expect = parse_tree(r#"a("x" b)"#, &mut al).unwrap();
         assert_eq!(out, *expect.as_hedge());

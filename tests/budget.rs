@@ -6,6 +6,7 @@
 //! suite uses, so every schema/transducer pair here once mattered enough
 //! to be a shrunk fuzzer reproducer.
 
+use textpres::diffcheck::Subject;
 use textpres::engine::{
     Budget, CheckOptions, Decider, DtlDecider, Engine, OutputConformanceDecider,
     TextRetentionDecider, TopdownDecider,
@@ -67,7 +68,7 @@ fn generous_budget_changes_no_corpus_verdict() {
     for (path, src) in corpus() {
         let rc = parse_case(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
         let nta = rc.case.schema_nta();
-        if let Some(t) = &rc.case.transducer {
+        if let Subject::Topdown { transducer: t, .. } = &rc.case.subject {
             assert_budget_inert(&TopdownDecider::new(t), &nta, &options, &path);
         }
     }
@@ -83,7 +84,7 @@ fn generous_budget_is_inert_for_retention_and_conformance() {
     for (path, src) in corpus() {
         let rc = parse_case(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
         let nta = rc.case.schema_nta();
-        if let Some(t) = &rc.case.transducer {
+        if let Subject::Topdown { transducer: t, .. } = &rc.case.subject {
             let labels: Vec<_> = rc.case.alpha.symbols().collect();
             assert_budget_inert(&TextRetentionDecider::new(t, labels), &nta, &options, &path);
             assert_budget_inert(
@@ -103,7 +104,7 @@ fn zero_fuel_exhausts_retention_and_conformance() {
         let rc = parse_case(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
         let nta = rc.case.schema_nta();
         let engine = Engine::new();
-        if let Some(t) = &rc.case.transducer {
+        if let Subject::Topdown { transducer: t, .. } = &rc.case.subject {
             let labels: Vec<_> = rc.case.alpha.symbols().collect();
             let err = engine
                 .check_governed(&TextRetentionDecider::new(t, labels), &nta, &options)
@@ -208,13 +209,14 @@ fn zero_fuel_exhausts_on_every_corpus_case() {
         let rc = parse_case(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
         let nta = rc.case.schema_nta();
         let engine = Engine::new();
-        if let Some(t) = &rc.case.transducer {
+        if let Subject::Topdown { transducer: t, .. } = &rc.case.subject {
             let err = engine
                 .check_governed(&TopdownDecider::new(t), &nta, &options)
                 .expect_err("zero fuel cannot complete a top-down check");
             assert!(err.is_resource_exhausted(), "{path}: {err}");
         }
-        if let Some(prog) = rc.case.dtl_program() {
+        if let Subject::Dtl(spec) = &rc.case.subject {
+            let prog = spec.program(&rc.case.alpha);
             let err = engine
                 .check_governed(&DtlDecider::new(&prog), &nta, &options)
                 .expect_err("zero fuel cannot complete a DTL check");

@@ -89,9 +89,15 @@ impl Client {
         Client { stream, reader }
     }
 
+    /// Writes one frame, newline included, in a single write: a drain
+    /// that closes the connection can then refuse a whole frame, never
+    /// half of one.
+    fn try_send(&mut self, line: &str) -> std::io::Result<()> {
+        self.stream.write_all(format!("{line}\n").as_bytes())
+    }
+
     fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).unwrap();
-        self.stream.write_all(b"\n").unwrap();
+        self.try_send(line).expect("send frame");
     }
 
     fn recv(&mut self) -> JsonValue {
@@ -528,7 +534,12 @@ fn drain_under_load_answers_accepted_requests_and_reports_clean() {
                 let mut c = Client::connect(addr);
                 let mut answered = 0;
                 loop {
-                    c.send(&check_frame(SCHEMA, GOOD, ""));
+                    // A frame the draining server refused to read was never
+                    // accepted, so a failed write ends the load like a
+                    // failed read does.
+                    if c.try_send(&check_frame(SCHEMA, GOOD, "")).is_err() {
+                        break answered;
+                    }
                     let mut line = String::new();
                     match c.reader.read_line(&mut line) {
                         Ok(0) | Err(_) => break answered,
